@@ -12,7 +12,11 @@ Three layers, mirroring what changes how often:
 
 - :class:`SubstrateColumns` — nodes, latencies, sites, VNF deployments,
   links and routing fractions.  Invariant under chain changes, so
-  ``copy_with_chains`` shares it between model copies.
+  ``copy_with_chains`` shares it between model copies.  It also holds the
+  substrate-keyed caches (stage link footprints, SB-DP stage tables)
+  that the partitioner and the DP router would otherwise rebuild for
+  every chain on every plan; ``invalidate_substrate()`` drops them with
+  the view.
 - :class:`ChainColumns` — the flattened (chain, stage) table with
   per-stage demands and endpoint lists.  Cheap to rebuild; refreshed
   whenever chains are added, removed, or rescaled.
@@ -35,7 +39,9 @@ DESIGN.md):
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -173,6 +179,101 @@ class SubstrateColumns:
         self.pool_link = np.array(pool_link, dtype=np.int64)
         self.pool_frac = np.array(pool_frac)
         self.mlu_limit = model.mlu_limit
+        self._new_caches()
+
+    def _new_caches(self) -> None:
+        # (source key, destination key) -> sorted link ids; see footprint().
+        self._footprints: dict[tuple, np.ndarray] = {}
+        # Free-form substrate-derived tables; see cached().
+        self._tables: dict[tuple, object] = {}
+
+    def rescaled(self, model: NetworkModel) -> "SubstrateColumns":
+        """This view for ``model``: the same substrate with different
+        site capacities, VNF capacities, link bandwidths and backgrounds.
+
+        A split partition's submodel only rescales those budgets, so its
+        view shares the node index, latency matrix and routing CSR with
+        this one and re-reads just the scaled values.  The caches start
+        empty: SB-DP stage tables embed link bandwidths, so a rescaled
+        substrate must never inherit them.
+        """
+        if (
+            list(model.sites) != self.site_names
+            or list(model.vnfs) != self.vnf_names
+            or list(model.links) != self.link_names
+        ):
+            raise ModelError("rescaled view needs the same substrate names")
+        clone = copy.copy(self)
+        clone.site_capacity = np.array(
+            [model.sites[s].capacity for s in self.site_names]
+        )
+        clone.vnf_site_cap = {}
+        for vi, v in enumerate(self.vnf_names):
+            for s, cap in model.vnfs[v].site_capacity.items():
+                clone.vnf_site_cap[(vi, self.site_index[s])] = cap
+        clone.link_bandwidth = np.array(
+            [model.links[name].bandwidth for name in self.link_names]
+        )
+        clone.link_background = np.array(
+            [model.links[name].background for name in self.link_names]
+        )
+        clone.mlu_limit = model.mlu_limit
+        clone._new_caches()
+        return clone
+
+    # -- substrate-keyed caches -------------------------------------------
+    #
+    # A *stage key* names the endpoint set at one end of a chain stage:
+    # ``("ep", endpoint_id)`` for a chain's ingress or egress, or
+    # ``("vnf", vnf_index)`` for the deployment sites of a VNF.  Every
+    # chain with the same structure maps to the same keys, whatever its
+    # name or demand.
+
+    def stage_key(self, name: str, model: NetworkModel) -> tuple:
+        """Stage key of a chain's ingress or egress endpoint."""
+        return ("ep", self.endpoint_id(name, model))
+
+    def stage_nodes(self, key: tuple) -> np.ndarray:
+        """Network-node indices of a stage key's endpoints."""
+        kind, i = key
+        if kind == "ep":
+            return self.endpoint_node[i : i + 1]
+        return self.site_node[self.vnf_sites[i]]
+
+    def footprint(self, src_key: tuple, dst_key: tuple) -> np.ndarray:
+        """Sorted unique ids of every link that traffic from any node of
+        ``src_key`` to any node of ``dst_key`` can cross (cached).
+
+        A stage's forward footprint is ``footprint(src, dst)`` and its
+        reverse footprint ``footprint(dst, src)``.  The cache is bounded
+        by the square of the number of distinct stage keys.
+        """
+        key = (src_key, dst_key)
+        links = self._footprints.get(key)
+        if links is None:
+            a = self.stage_nodes(src_key)
+            b = self.stage_nodes(dst_key)
+            pids = self.pair_id[np.ix_(a, b)].ravel()
+            p = pids[pids >= 0]
+            if p.size:
+                pool_idx, _ = ragged_gather(self.pair_start[p], self.pair_len[p])
+                links = np.unique(self.pool_link[pool_idx])
+            else:
+                links = p
+            self._footprints[key] = links
+        return links
+
+    def cached(self, key: tuple, build: Callable[[], object]) -> object:
+        """A substrate-derived table, built once per view by ``build``.
+
+        ``key`` must capture every input besides the substrate itself
+        (e.g. the SB-DP utilization weight).  Tables whose size grows
+        with the workload bound themselves (see ``core/dp.py``).
+        """
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build()
+        return table
 
     def headroom(self) -> np.ndarray:
         """Per-link capacity available under the MLU budget."""

@@ -265,6 +265,39 @@ class _StageFront:
     rev_bw: np.ndarray
 
 
+class _DpTables:
+    """Demand-independent SB-DP tables for one substrate view.
+
+    Held on :class:`~repro.core.columns.SubstrateColumns` (keyed by the
+    utilization weight and the routing switch, the only other inputs),
+    so every router on the same substrate -- one per
+    :func:`route_chains_dp` call -- shares them, and
+    ``invalidate_substrate()`` drops them with the view.  Fronts are
+    keyed by chain *structure*, never by name: churn re-submits chains
+    under fresh names, and the table stays bounded by the number of
+    distinct structures (and by :data:`_MAX_CACHED_STRUCTURES`).
+    """
+
+    def __init__(self) -> None:
+        #: (ingress, egress, vnfs) -> per-stage fronts.
+        self.fronts: dict[tuple, list[_StageFront]] = {}
+        #: (src_key, dst_key) -> shared latency/link tables; chains with
+        #: the same stage transition (e.g. the same consecutive VNF
+        #: pair) reuse one entry.
+        self.transitions: dict[tuple, tuple] = {}
+
+    def store(self, key: tuple, fronts: list[_StageFront]) -> None:
+        if len(self.fronts) >= _MAX_CACHED_STRUCTURES:
+            self.fronts.clear()
+        self.fronts[key] = fronts
+
+
+#: Distinct chain structures whose SB-DP fronts one substrate view keeps.
+#: A workload with more (e.g. an open-ended install storm) starts over
+#: rather than growing without bound.
+_MAX_CACHED_STRUCTURES = 8192
+
+
 class _DpRouter:
     """Routes chains one at a time against shared residual state."""
 
@@ -273,14 +306,10 @@ class _DpRouter:
         self.config = config
         self.state = _ResourceState(model)
         self._sub = self.state.sub
-        self._chain_static: dict[tuple, list[_StageFront]] = {}
-        # (src_key, dst_key) -> shared latency/link tables; chains with
-        # the same stage transition (e.g. the same consecutive VNF pair)
-        # reuse one entry.
-        self._transition_cache: dict[tuple, tuple] = {}
         self._model_sig = self._substrate_signature()
         self.paths_computed = 0
         self._weight = self._resolve_utilization_weight()
+        self._tables = self._substrate_tables()
 
     def _resolve_utilization_weight(self) -> float:
         if self.config.utilization_weight is not None:
@@ -293,6 +322,12 @@ class _DpRouter:
         if diameter <= 0 or penalty_at_full <= 0:
             return 1.0
         return diameter / penalty_at_full
+
+    def _substrate_tables(self) -> "_DpTables":
+        """The stage tables shared by every router on this substrate
+        view with the same utilization weight and routing switch."""
+        key = ("dp", self._weight, bool(self.model.routing))
+        return self._sub.cached(key, _DpTables)
 
     def _substrate_signature(self) -> tuple:
         """Object identities of the mutable substrate catalogs.
@@ -330,8 +365,7 @@ class _DpRouter:
             self._model_sig = sig
         self._sub = sub
         self.state.refresh_substrate(sub)
-        self._chain_static.clear()
-        self._transition_cache.clear()
+        self._tables = self._substrate_tables()
 
     # -- public per-chain entry point ------------------------------------
 
@@ -538,8 +572,9 @@ class _DpRouter:
 
     def _stage_fronts(self, chain: Chain) -> list[_StageFront]:
         """Per-stage static arrays (cached per chain structure)."""
-        key = (chain.name, chain.ingress, chain.egress, tuple(chain.vnfs))
-        cached = self._chain_static.get(key)
+        tables = self._tables
+        key = (chain.ingress, chain.egress, chain.vnfs)
+        cached = tables.fronts.get(key)
         if cached is not None:
             return cached
         sub = self._sub
@@ -566,14 +601,14 @@ class _DpRouter:
                 dst_nodes = sub.site_node[dst_sites]
                 load_per_unit = float(sub.vnf_load[vnf_index])
                 dst_key = ("vnf", vnf_index)
-            shared = self._transition_cache.get((prev_key, dst_key))
+            shared = tables.transitions.get((prev_key, dst_key))
             if shared is None:
                 shared = (
                     sub.latency[np.ix_(prev_nodes, dst_nodes)],
                     self._pair_tables(prev_nodes, dst_nodes, False),
                     self._pair_tables(dst_nodes, prev_nodes, True),
                 )
-                self._transition_cache[(prev_key, dst_key)] = shared
+                tables.transitions[(prev_key, dst_key)] = shared
             lat, fwd, rev = shared
             fronts.append(
                 _StageFront(
@@ -597,7 +632,7 @@ class _DpRouter:
             )
             prev_nodes = dst_nodes
             prev_key = dst_key
-        self._chain_static[key] = fronts
+        tables.store(key, fronts)
         return fronts
 
     def _pair_tables(

@@ -457,8 +457,7 @@ class NetworkModel:
             unknown = [n for n in chain_names if n not in self.chains]
             if unknown:
                 raise ModelError(f"digest over unknown chains: {unknown}")
-        document = dict(self._substrate_document())
-        document["chains"] = [
+        chain_doc = [
             (
                 c.name,
                 c.ingress,
@@ -469,8 +468,7 @@ class NetworkModel:
             )
             for c in (self.chains[n] for n in chain_names)
         ]
-        payload = json.dumps(document, separators=(",", ":"), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _sha256_document("chains", chain_doc, self._substrate_json())
 
     def substrate_digest(self) -> str:
         """A stable content hash of the substrate alone (hex SHA-256).
@@ -482,43 +480,111 @@ class NetworkModel:
         invalidate a stored partitioning even though the chain set is
         unchanged, and by ``repro.federation`` as the shard-map identity.
         """
-        payload = json.dumps(
-            self._substrate_document(), separators=(",", ":"), sort_keys=True
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        parts = self._substrate_parts()
+        digest = parts.get("#digest")
+        if digest is None:
+            digest = parts["#digest"] = hashlib.sha256(
+                ("{" + self._substrate_json() + "}").encode()
+            ).hexdigest()
+        return digest
 
-    def _substrate_document(self) -> dict:
-        """The substrate portion of the digest document (cached).
+    # The digest document is the JSON object
+    # ``json.dumps(document, separators=(",", ":"), sort_keys=True)``
+    # of one chain entry ("chains" or "chain_structure", both sorting
+    # first) plus the substrate entries below.  Each substrate entry is
+    # encoded once and cached (``copy_with_chains`` copies share the
+    # cache), so a digest only encodes its chain entry; the bytes are
+    # unchanged from encoding the whole document.
 
-        Sorting and flattening the substrate dominates digest cost on
-        repeated calls (the solver farm digests once per partition), so
-        the already-sorted fragments are built once and shared with
-        ``copy_with_chains`` copies.
-        """
+    #: Substrate entries of the digest document, in sorted key order.
+    _SUBSTRATE_KEYS = (
+        "latency", "links", "mlu_limit", "nodes", "routing", "sites", "vnfs"
+    )
+    #: Entries a rescaled copy (see :meth:`copy_rescaled`) shares.
+    _UNSCALED_KEYS = ("latency", "mlu_limit", "nodes", "routing")
+
+    def _substrate_parts(self) -> dict[str, str]:
         if self._substrate_doc is None:
-            self._substrate_doc = {
-                "nodes": sorted(self.nodes),
-                "latency": sorted(
-                    (n1, n2, d) for (n1, n2), d in self._latency.items()
-                ),
-                "sites": sorted(
-                    (s.name, s.node, s.capacity) for s in self.sites.values()
-                ),
-                "vnfs": sorted(
-                    (v.name, v.load_per_unit, sorted(v.site_capacity.items()))
-                    for v in self.vnfs.values()
-                ),
-                "links": sorted(
-                    (link.name, link.src, link.dst, link.bandwidth, link.background)
-                    for link in self.links.values()
-                ),
-                "routing": sorted(
-                    (n1, n2, sorted(fractions.items()))
-                    for (n1, n2), fractions in self.routing.items()
-                ),
-                "mlu_limit": self.mlu_limit,
-            }
+            self._substrate_doc = {}
         return self._substrate_doc
+
+    def _substrate_part(self, key: str) -> str:
+        """One substrate entry of the digest document, JSON-encoded."""
+        parts = self._substrate_parts()
+        encoded = parts.get(key)
+        if encoded is None:
+            encoded = parts[key] = _encode(self._substrate_value(key))
+        return encoded
+
+    def _substrate_value(self, key: str):
+        if key == "nodes":
+            return sorted(self.nodes)
+        if key == "latency":
+            return sorted((n1, n2, d) for (n1, n2), d in self._latency.items())
+        if key == "sites":
+            return sorted((s.name, s.node, s.capacity) for s in self.sites.values())
+        if key == "vnfs":
+            return sorted(
+                (v.name, v.load_per_unit, sorted(v.site_capacity.items()))
+                for v in self.vnfs.values()
+            )
+        if key == "links":
+            return sorted(
+                (link.name, link.src, link.dst, link.bandwidth, link.background)
+                for link in self.links.values()
+            )
+        if key == "routing":
+            return sorted(
+                (n1, n2, sorted(fractions.items()))
+                for (n1, n2), fractions in self.routing.items()
+            )
+        if key == "mlu_limit":
+            return self.mlu_limit
+        # Capacity-structure variants: magnitudes reduced to flags.
+        if key == "capacity:sites":
+            return sorted(
+                (s.name, s.node, s.capacity > 0) for s in self.sites.values()
+            )
+        if key == "capacity:vnfs":
+            return sorted(
+                (v.name, v.load_per_unit, sorted(v.site_capacity))
+                for v in self.vnfs.values()
+            )
+        raise KeyError(key)
+
+    def _substrate_json(self, capacity: bool = False) -> str:
+        """The substrate entries as ``"key":value`` JSON members, in
+        key order (cached)."""
+        name = "#capacity" if capacity else "#substrate"
+        parts = self._substrate_parts()
+        body = parts.get(name)
+        if body is None:
+            body = parts[name] = ",".join(
+                '"%s":%s'
+                % (
+                    key,
+                    self._substrate_part(
+                        f"capacity:{key}"
+                        if capacity and key in ("sites", "vnfs")
+                        else key
+                    ),
+                )
+                for key in self._SUBSTRATE_KEYS
+            )
+        return body
+
+    def _chain_structure_doc(self) -> list:
+        return [
+            (
+                c.name,
+                c.ingress,
+                c.egress,
+                list(c.vnfs),
+                [w > 0 for w in c.forward_traffic],
+                [v > 0 for v in c.reverse_traffic],
+            )
+            for c in self.chains.values()
+        ]
 
     def structure_digest(self) -> str:
         """Hash of the LP matrix *structure* this model induces.
@@ -531,20 +597,9 @@ class NetworkModel:
         identical demand-independent entries, which is the contract the
         LP matrix caches rely on (see DESIGN.md).
         """
-        document = dict(self._substrate_document())
-        document["chain_structure"] = [
-            (
-                c.name,
-                c.ingress,
-                c.egress,
-                list(c.vnfs),
-                [w > 0 for w in c.forward_traffic],
-                [v > 0 for v in c.reverse_traffic],
-            )
-            for c in self.chains.values()
-        ]
-        payload = json.dumps(document, separators=(",", ":"), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return _sha256_document(
+            "chain_structure", self._chain_structure_doc(), self._substrate_json()
+        )
 
     def capacity_structure_digest(self) -> str:
         """Hash of the capacity-planning LP structure this model induces.
@@ -555,27 +610,11 @@ class NetworkModel:
         relief coefficients on every solve, so a budget sweep over
         proportionally grown models reuses one cached matrix structure.
         """
-        document = dict(self._substrate_document())
-        document["sites"] = sorted(
-            (s.name, s.node, s.capacity > 0) for s in self.sites.values()
+        return _sha256_document(
+            "chain_structure",
+            self._chain_structure_doc(),
+            self._substrate_json(capacity=True),
         )
-        document["vnfs"] = sorted(
-            (v.name, v.load_per_unit, sorted(v.site_capacity))
-            for v in self.vnfs.values()
-        )
-        document["chain_structure"] = [
-            (
-                c.name,
-                c.ingress,
-                c.egress,
-                list(c.vnfs),
-                [w > 0 for w in c.forward_traffic],
-                [v > 0 for v in c.reverse_traffic],
-            )
-            for c in self.chains.values()
-        ]
-        payload = json.dumps(document, separators=(",", ":"), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- aggregate views --------------------------------------------------
 
@@ -597,7 +636,42 @@ class NetworkModel:
         )
         # The substrate is shared, so its caches carry over.
         clone._substrate_columns = self._substrate_columns
-        clone._substrate_doc = self._substrate_doc
+        clone._substrate_doc = self._substrate_parts()
+        return clone
+
+    def copy_rescaled(
+        self,
+        sites: Iterable[CloudSite],
+        vnfs: Iterable[VNF],
+        links: Iterable[Link],
+        chains: Iterable[Chain],
+    ) -> "NetworkModel":
+        """A model on this substrate with rescaled capacities and link
+        budgets (a split partition's solve model).
+
+        ``sites``, ``vnfs`` and ``links`` must keep this model's names,
+        order, nodes and VNF deployments; only site and VNF capacities
+        and link bandwidths and backgrounds may differ.  The copy's
+        columnar view is derived from this one (see
+        :meth:`~repro.core.columns.SubstrateColumns.rescaled`) and it
+        shares the digest entries that do not depend on the scaled
+        values.
+        """
+        clone = NetworkModel(
+            nodes=self.nodes,
+            latency=self._latency,
+            sites=sites,
+            vnfs=vnfs,
+            chains=chains,
+            links=links,
+            routing=self.routing,
+            mlu_limit=self.mlu_limit,
+        )
+        clone._substrate_columns = self.substrate_columns().rescaled(clone)
+        parts = self._substrate_parts()
+        clone._substrate_doc = {
+            key: parts[key] for key in self._UNSCALED_KEYS if key in parts
+        }
         return clone
 
     def copy_with_vnfs(self, vnfs: Iterable[VNF]) -> "NetworkModel":
@@ -632,3 +706,18 @@ class NetworkModel:
             f"vnfs={len(self.vnfs)}, chains={len(self.chains)}, "
             f"links={len(self.links)})"
         )
+
+
+_SEPARATORS = (",", ":")
+
+
+def _encode(value) -> str:
+    """JSON-encode one digest-document entry (no nested objects)."""
+    return json.dumps(value, separators=_SEPARATORS)
+
+
+def _sha256_document(chain_key: str, chain_doc: list, substrate_json: str) -> str:
+    """Hex SHA-256 of the digest document ``{chain_key: chain_doc,
+    <substrate entries>}`` as sorted-key compact JSON."""
+    payload = '{"%s":%s,%s}' % (chain_key, _encode(chain_doc), substrate_json)
+    return hashlib.sha256(payload.encode()).hexdigest()

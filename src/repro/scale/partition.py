@@ -42,9 +42,11 @@ Optimality-gap contract (documented, checked by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.core.columns import ragged_gather
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
@@ -187,16 +189,7 @@ class PartitionPlan:
                     link.background * share,
                 )
             )
-        return NetworkModel(
-            nodes=model.nodes,
-            latency=model._latency,
-            sites=sites,
-            vnfs=vnfs,
-            chains=chains,
-            links=links,
-            routing=model.routing,
-            mlu_limit=model.mlu_limit,
-        )
+        return model.copy_rescaled(sites, vnfs, links, chains)
 
 
 def _chain_structure(chain: Chain) -> tuple:
@@ -204,56 +197,136 @@ def _chain_structure(chain: Chain) -> tuple:
     return (chain.ingress, chain.egress, chain.vnfs)
 
 
-def _stage_node_ids(
-    model: NetworkModel, sub, chain: Chain, z: int, destinations: bool
-) -> np.ndarray:
-    """Network-node indices of a stage's source or destination endpoints."""
-    names = (
-        model.stage_destinations(chain, z)
-        if destinations
-        else model.stage_sources(chain, z)
-    )
-    return np.fromiter(
-        (sub.node_index[model.endpoint_node(name)] for name in names),
-        dtype=np.int64,
-        count=len(names),
-    )
+#: Chain structures (and demand-positivity patterns) whose resource
+#: tables one substrate view keeps before starting over.
+_MAX_CACHED_STRUCTURES = 8192
 
 
-def _pair_link_ids(sub, a_nodes: np.ndarray, b_nodes: np.ndarray) -> np.ndarray:
-    """Unique link indices any (a, b) node pair's traffic can cross."""
-    pids = sub.pair_id[np.ix_(a_nodes, b_nodes)].ravel()
-    p = pids[pids >= 0]
-    if p.size == 0:
-        return p
-    pool_idx, _ = ragged_gather(sub.pair_start[p], sub.pair_len[p])
-    return np.unique(sub.pool_link[pool_idx])
+class _ChainFootprint:
+    """Demand-independent resource ids of one chain structure.
+
+    ``compute[z - 1]`` holds the VNF-deployment and site resources of
+    VNF stage ``z`` (its destinations), ``fwd[z - 1]`` / ``rev[z - 1]``
+    the stage's forward and reverse link footprints (sorted link ids).
+    """
+
+    __slots__ = ("keys", "compute", "vnf_load", "fwd", "rev")
+
+    def __init__(self, model: NetworkModel, sub, tables: "_PartitionTables",
+                 chain: Chain):
+        ends = (sub.stage_key(chain.ingress, model),
+                sub.stage_key(chain.egress, model))
+        vnfs = [sub.vnf_index[v] for v in chain.vnfs]
+        self.keys = [ends[0]] + [("vnf", vi) for vi in vnfs] + [ends[1]]
+        self.compute = [
+            np.concatenate([tables.deploy_ids[vi], tables.site_ids[vi]])
+            for vi in vnfs
+        ]
+        self.vnf_load = [float(sub.vnf_load[vi]) for vi in vnfs]
+        self.fwd = [sub.footprint(a, b) for a, b in zip(self.keys, self.keys[1:])]
+        self.rev = [sub.footprint(b, a) for a, b in zip(self.keys, self.keys[1:])]
+
+
+class _PartitionTables:
+    """The partitioner's substrate-keyed tables (on ``SubstrateColumns``).
+
+    Resource ids: links ``[0, L)`` in link order, sites ``[L, L + S)``,
+    then every (VNF, site) deployment in catalog order.
+    """
+
+    def __init__(self, sub):
+        n_links, n_sites = len(sub.link_names), len(sub.site_names)
+        self.keys: list[ResourceKey] = [("link", n) for n in sub.link_names]
+        self.keys += [("site", s) for s in sub.site_names]
+        self.deploy_ids: list[np.ndarray] = []
+        self.site_ids: list[np.ndarray] = []
+        for vi, vnf in enumerate(sub.vnf_names):
+            sites = sub.vnf_sites[vi]
+            start = len(self.keys)
+            self.deploy_ids.append(np.arange(start, start + len(sites)))
+            self.site_ids.append(n_links + sites)
+            self.keys += [("vnf", vnf, sub.site_names[si]) for si in sites]
+        self.n_links = n_links
+        self._footprints: dict[tuple, _ChainFootprint] = {}
+        self._resource_ids: dict[tuple, np.ndarray] = {}
+
+    def footprint(self, model: NetworkModel, sub, chain: Chain) -> _ChainFootprint:
+        key = (chain.ingress, chain.egress, chain.vnfs)
+        fp = self._footprints.get(key)
+        if fp is None:
+            if len(self._footprints) >= _MAX_CACHED_STRUCTURES:
+                self._footprints.clear()
+            fp = self._footprints[key] = _ChainFootprint(model, sub, self, chain)
+        return fp
+
+    def resource_ids(self, model: NetworkModel, sub, chain: Chain) -> np.ndarray:
+        """Every resource id the chain's LP variables can touch (may
+        repeat an id)."""
+        routing = bool(model.routing)
+        key = (chain.ingress, chain.egress, chain.vnfs, routing)
+        if routing:
+            key += (
+                tuple(w > 0 for w in chain.forward_traffic),
+                tuple(v > 0 for v in chain.reverse_traffic),
+            )
+        ids = self._resource_ids.get(key)
+        if ids is None:
+            fp = self.footprint(model, sub, chain)
+            parts = list(fp.compute)
+            if routing:
+                for z in range(chain.num_stages):
+                    if chain.forward_traffic[z] > 0:
+                        parts.append(fp.fwd[z])
+                    if chain.reverse_traffic[z] > 0:
+                        parts.append(fp.rev[z])
+            ids = np.concatenate(parts) if parts else np.zeros(0, np.int64)
+            if len(self._resource_ids) >= _MAX_CACHED_STRUCTURES:
+                self._resource_ids.clear()
+            self._resource_ids[key] = ids
+        return ids
+
+
+def _tables(model: NetworkModel):
+    sub = model.substrate_columns()
+    return sub, sub.cached(("partition",), lambda: _PartitionTables(sub))
 
 
 def chain_resources(model: NetworkModel, chain: Chain) -> set[ResourceKey]:
     """Every capacity resource the chain's LP variables can touch."""
-    sub = model.substrate_columns()
-    resources: set[ResourceKey] = set()
-    for z in range(1, chain.num_stages + 1):
-        if z < chain.num_stages:
-            for site in model.stage_destinations(chain, z):
-                resources.add(("vnf", chain.vnf_at(z), site))
-                resources.add(("site", site))
-        if not model.routing:
-            continue
-        fwd = chain.forward_traffic[z - 1]
-        rev = chain.reverse_traffic[z - 1]
-        if fwd <= 0 and rev <= 0:
-            continue
-        srcs = _stage_node_ids(model, sub, chain, z, destinations=False)
-        dsts = _stage_node_ids(model, sub, chain, z, destinations=True)
-        if fwd > 0:
-            for li in _pair_link_ids(sub, srcs, dsts):
-                resources.add(("link", sub.link_names[li]))
-        if rev > 0:
-            for li in _pair_link_ids(sub, dsts, srcs):
-                resources.add(("link", sub.link_names[li]))
-    return resources
+    sub, tables = _tables(model)
+    return {
+        tables.keys[r] for r in tables.resource_ids(model, sub, chain).tolist()
+    }
+
+
+def coupling_groups(model: NetworkModel) -> list[list[str]]:
+    """Chains grouped by shared resources, deterministically ordered.
+
+    The groups are the connected components of the bipartite
+    chain-resource incidence graph.
+    """
+    sub, tables = _tables(model)
+    names = list(model.chains)
+    ids = [
+        tables.resource_ids(model, sub, chain) for chain in model.chains.values()
+    ]
+    n_chains = len(names)
+    cols = np.concatenate(ids) if ids else np.zeros(0, np.int64)
+    rows = np.repeat(
+        np.arange(n_chains), np.fromiter(map(len, ids), np.int64, n_chains)
+    )
+    size = n_chains + len(tables.keys)
+    graph = csr_matrix(
+        (np.ones(cols.size), (rows, n_chains + cols)), shape=(size, size)
+    )
+    _, labels = connected_components(graph, directed=False)
+    row = {name: i for i, name in enumerate(names)}
+    groups: dict[int, list[str]] = {}
+    for name in sorted(names):
+        groups.setdefault(int(labels[row[name]]), []).append(name)
+    # Sorted-name iteration makes every group sorted and orders groups
+    # by their first member.
+    return list(groups.values())
 
 
 #: Fraction of a chain's stage traffic spread uniformly over every link
@@ -261,44 +334,6 @@ def chain_resources(model: NetworkModel, chain: Chain) -> set[ResourceKey]:
 #: usage.  Keeps overflow links available to the subgroup without
 #: diluting the bottleneck-link shares that matter.
 _LINK_OVERFLOW_WEIGHT = 0.1
-
-
-def _dp_link_usage(model: NetworkModel) -> dict[str, dict[ResourceKey, float]]:
-    """Per-chain link traffic of a fast SB-DP pre-route.
-
-    The best proportional link shares are the shares of the *optimal*
-    solution's link usage (a partition can then always reproduce its
-    slice of the monolithic routing).  The SB-DP heuristic approximates
-    that equilibrium at a tiny fraction of the LP's cost, so its
-    per-chain link traffic is the default weighting for split link
-    budgets.  Chains SB-DP leaves (partially) unrouted keep whatever
-    usage their routed fraction generates; the latency-path weights in
-    :func:`_chain_resource_weights` fill in for fully unrouted chains.
-    """
-    from repro.core.dp import DpConfig, route_chains_dp
-
-    solution = route_chains_dp(
-        model, DpConfig(max_paths_per_chain=8)
-    ).solution
-    usage: dict[str, dict[ResourceKey, float]] = {}
-    for name, chain in model.chains.items():
-        per_chain: dict[ResourceKey, float] = {}
-        for z in range(1, chain.num_stages + 1):
-            for (src, dst), frac in solution.stage_flows(name, z).items():
-                n1 = model.endpoint_node(src)
-                n2 = model.endpoint_node(dst)
-                fwd = chain.forward_traffic[z - 1] * frac
-                rev = chain.reverse_traffic[z - 1] * frac
-                if fwd > 0:
-                    for link, f in model.links_between(n1, n2).items():
-                        key = ("link", link)
-                        per_chain[key] = per_chain.get(key, 0.0) + fwd * f
-                if rev > 0:
-                    for link, f in model.links_between(n2, n1).items():
-                        key = ("link", link)
-                        per_chain[key] = per_chain.get(key, 0.0) + rev * f
-        usage[name] = per_chain
-    return usage
 
 
 def _latency_path(model: NetworkModel, chain: Chain) -> list[str]:
@@ -334,112 +369,215 @@ def _latency_path(model: NetworkModel, chain: Chain) -> list[str]:
     return path
 
 
-def _chain_resource_weights(
-    model: NetworkModel,
-    chain: Chain,
-    link_usage: Mapping[ResourceKey, float] | None = None,
-) -> dict[ResourceKey, float]:
-    """Demand each chain can place on a resource (the proportional-split
-    weights).
-
-    Compute weights mirror Equation 4's load accounting, spread over
-    every deployment site (the LP is free to use any of them, and a
-    uniform per-site ratio keeps each subgroup's total capacity for a
-    VNF proportional to its demand).  Link weights come from the SB-DP
-    pre-route (``link_usage``), falling back to the chain's latency-best
-    path when the pre-route carried nothing for it; every other link
-    the chain could use gets a small uniform share
-    (:data:`_LINK_OVERFLOW_WEIGHT`) so overflow routing stays possible.
-    """
-    sub = model.substrate_columns()
-    weights: dict[ResourceKey, float] = {}
-    if link_usage:
-        weights.update(link_usage)
-        path = None
-    else:
-        path = _latency_path(model, chain) if model.routing else None
-    for z in range(1, chain.num_stages + 1):
-        if z < chain.num_stages:
-            vnf_name = chain.vnf_at(z)
-            load = model.vnfs[vnf_name].load_per_unit * (
-                chain.stage_traffic(z) + chain.stage_traffic(z + 1)
-            )
-            for site in model.stage_destinations(chain, z):
-                key = ("vnf", vnf_name, site)
-                weights[key] = weights.get(key, 0.0) + load
-                skey = ("site", site)
-                weights[skey] = weights.get(skey, 0.0) + load
-        if not model.routing:
-            continue
-        fwd = chain.forward_traffic[z - 1]
-        rev = chain.reverse_traffic[z - 1]
+def _path_link_weights(
+    model: NetworkModel, sub, fp: _ChainFootprint, chain: Chain
+) -> dict[int, float]:
+    """Link weights of a chain the SB-DP pre-route carried nothing for:
+    its latency-best path, plus the overflow share of every link it
+    could use (stage by stage, as the two interleave)."""
+    path = _latency_path(model, chain)
+    weights: dict[int, float] = {}
+    for z in range(chain.num_stages):
+        fwd = chain.forward_traffic[z]
+        rev = chain.reverse_traffic[z]
         if fwd <= 0 and rev <= 0:
             continue
-        if path is not None:
-            n1 = model.endpoint_node(path[z - 1])
-            n2 = model.endpoint_node(path[z])
-            if fwd > 0:
-                for name, f in model.links_between(n1, n2).items():
-                    key = ("link", name)
-                    weights[key] = weights.get(key, 0.0) + fwd * f
-            if rev > 0:
-                for name, f in model.links_between(n2, n1).items():
-                    key = ("link", name)
-                    weights[key] = weights.get(key, 0.0) + rev * f
-        overflow: set[ResourceKey] = set()
-        srcs = _stage_node_ids(model, sub, chain, z, destinations=False)
-        dsts = _stage_node_ids(model, sub, chain, z, destinations=True)
+        n1 = model.endpoint_node(path[z])
+        n2 = model.endpoint_node(path[z + 1])
+        for pair, volume in (((n1, n2), fwd), ((n2, n1), rev)):
+            if volume > 0:
+                for name, f in model.routing.get(pair, {}).items():
+                    li = sub.link_index[name]
+                    weights[li] = weights.get(li, 0.0) + volume * f
+        overflow: set[int] = set()
         if fwd > 0:
-            overflow.update(
-                ("link", sub.link_names[li])
-                for li in _pair_link_ids(sub, srcs, dsts)
-            )
+            overflow.update(fp.fwd[z].tolist())
         if rev > 0:
-            overflow.update(
-                ("link", sub.link_names[li])
-                for li in _pair_link_ids(sub, dsts, srcs)
-            )
-        for key in overflow:
-            if weights.get(key, 0.0) <= 0.0:
-                weights[key] = weights.get(key, 0.0) + (
+            overflow.update(fp.rev[z].tolist())
+        for li in overflow:
+            if weights.get(li, 0.0) <= 0.0:
+                weights[li] = weights.get(li, 0.0) + (
                     _LINK_OVERFLOW_WEIGHT * (fwd + rev)
                 )
     return weights
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {item: item for item in items}
+def _dp_flow_entries(model: NetworkModel, sub, rows: dict[str, int]):
+    """Per-chain link traffic of a fast SB-DP pre-route, as
+    ``(chain row, link id, traffic)`` entries in accumulation order.
 
-    def find(self, item: str) -> str:
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
+    The best proportional link shares are the shares of the *optimal*
+    solution's link usage (a partition can then always reproduce its
+    slice of the monolithic routing).  The SB-DP heuristic approximates
+    that equilibrium at a tiny fraction of the LP's cost, so its
+    per-chain link traffic is the default weighting for split link
+    budgets.  Every flow's (node pair, volume) is collected first and
+    expanded over the routing CSR in one pass.
+    """
+    from repro.core.dp import DpConfig, route_chains_dp
 
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    solution = route_chains_dp(
+        model, DpConfig(max_paths_per_chain=8)
+    ).solution
+    node_of = sub.endpoint_node
+    pair_id = sub.pair_id
+    flow_row: list[int] = []
+    flow_pair: list[int] = []
+    flow_volume: list[float] = []
+    for name, row in rows.items():
+        chain = model.chains[name]
+        for z in range(1, chain.num_stages + 1):
+            fwd_demand = chain.forward_traffic[z - 1]
+            rev_demand = chain.reverse_traffic[z - 1]
+            for (src, dst), frac in solution.stage_flows(name, z).items():
+                i = node_of[sub.endpoint_id(src, model)]
+                j = node_of[sub.endpoint_id(dst, model)]
+                fwd = fwd_demand * frac
+                rev = rev_demand * frac
+                if fwd > 0:
+                    flow_row.append(row)
+                    flow_pair.append(pair_id[i, j])
+                    flow_volume.append(fwd)
+                if rev > 0:
+                    flow_row.append(row)
+                    flow_pair.append(pair_id[j, i])
+                    flow_volume.append(rev)
+    pairs = np.array(flow_pair, dtype=np.int64)
+    keep = pairs >= 0
+    pairs = pairs[keep]
+    pool_idx, flow_of = ragged_gather(sub.pair_start[pairs], sub.pair_len[pairs])
+    chain_rows = np.array(flow_row, dtype=np.int64)[keep][flow_of]
+    volumes = np.array(flow_volume)[keep][flow_of]
+    return chain_rows, sub.pool_link[pool_idx], volumes * sub.pool_frac[pool_idx]
 
 
-def coupling_groups(model: NetworkModel) -> list[list[str]]:
-    """Chains grouped by shared resources, deterministically ordered."""
-    uf = _UnionFind(model.chains)
-    owner: dict[ResourceKey, str] = {}
-    for name, chain in model.chains.items():
-        for resource in chain_resources(model, chain):
-            first = owner.setdefault(resource, name)
-            if first != name:
-                uf.union(first, name)
-    groups: dict[str, list[str]] = {}
-    for name in model.chains:
-        groups.setdefault(uf.find(name), []).append(name)
-    ordered = [sorted(members) for members in groups.values()]
-    ordered.sort(key=lambda members: members[0])
-    return ordered
+class _Weights:
+    """Sparse per-chain resource weights (the proportional-split weights).
+
+    Entries are sorted by (chain row, resource id); ``start[row]`` /
+    ``length[row]`` slice one chain's entries.  A present entry may
+    weigh 0.0 (it still counts as touching the resource).
+    """
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray, n_res: int,
+                 n_rows: int):
+        self.resource = keys % n_res
+        self.value = values
+        chain_of = keys // n_res
+        self.start = np.searchsorted(chain_of, np.arange(n_rows))
+        self.length = np.searchsorted(chain_of, np.arange(n_rows), "right") - self.start
+
+    def totals(self, rows: list[int], n_res: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-resource weight sums (accumulated chain by chain, in
+        ``rows`` order) and toucher counts over the given chains."""
+        idx, _ = ragged_gather(self.start[rows], self.length[rows])
+        res = self.resource[idx]
+        sums = np.zeros(n_res)
+        np.add.at(sums, res, self.value[idx])  # sequential, like the scalar sum
+        return sums, np.bincount(res, minlength=n_res)
+
+
+def _resource_weights(
+    model: NetworkModel, names: list[str]
+) -> tuple[_Weights, dict[str, int], list[ResourceKey]]:
+    """Demand each chain can place on a resource.
+
+    Compute weights mirror Equation 4's load accounting, spread over
+    every deployment site (the LP is free to use any of them, and a
+    uniform per-site ratio keeps each subgroup's total capacity for a
+    VNF proportional to its demand).  Link weights come from the SB-DP
+    pre-route, falling back to the chain's latency-best path when the
+    pre-route carried nothing for it; every other link the chain could
+    use gets a small uniform share (:data:`_LINK_OVERFLOW_WEIGHT`) so
+    overflow routing stays possible.
+
+    Every (chain, resource) weight is accumulated in the same order as
+    the per-chain scalar loop it replaces (``np.add.at`` is sequential),
+    so the weights -- and the shares built from them -- are
+    bit-identical to it.
+    """
+    sub, tables = _tables(model)
+    n_res = len(tables.keys)
+    rows = {name: i for i, name in enumerate(names)}
+    chains = [model.chains[name] for name in names]
+    fps = [tables.footprint(model, sub, chain) for chain in chains]
+    parts_keys: list[np.ndarray] = []
+    parts_vals: list[np.ndarray] = []
+
+    if model.routing:
+        u_row, u_link, u_val = _dp_flow_entries(model, sub, rows)
+        u_keys, inverse = np.unique(u_row * n_res + u_link, return_inverse=True)
+        u_sum = np.zeros(u_keys.size)
+        np.add.at(u_sum, inverse, u_val)
+        parts_keys.append(u_keys)
+        parts_vals.append(u_sum)
+        with_usage = np.zeros(len(names), dtype=bool)
+        with_usage[u_row] = True
+
+        # Overflow: each stage's footprint links the pre-route left at
+        # zero get the stage's overflow weight once (the first stage
+        # with a positive weight wins, as in the stage-by-stage loop).
+        o_keys: list[np.ndarray] = []
+        o_vals: list[np.ndarray] = []
+        path_weights: list[tuple[int, dict[int, float]]] = []
+        for row, (chain, fp) in enumerate(zip(chains, fps)):
+            if not with_usage[row]:
+                path_weights.append(
+                    (row, _path_link_weights(model, sub, fp, chain))
+                )
+                continue
+            base = row * n_res
+            for z in range(chain.num_stages):
+                fwd = chain.forward_traffic[z]
+                rev = chain.reverse_traffic[z]
+                if fwd <= 0 and rev <= 0:
+                    continue
+                weight = _LINK_OVERFLOW_WEIGHT * (fwd + rev)
+                for positive, links in ((fwd > 0, fp.fwd[z]), (rev > 0, fp.rev[z])):
+                    if positive and links.size:
+                        o_keys.append(base + links)
+                        o_vals.append(np.full(links.size, weight))
+        if o_keys:
+            keys = np.concatenate(o_keys)
+            vals = np.concatenate(o_vals)
+            open_ = ~np.isin(keys, u_keys[u_sum > 0])
+            keys, vals = keys[open_], vals[open_]
+            ov_keys = np.unique(keys)
+            ov_vals = np.zeros(ov_keys.size)
+            positive = vals > 0
+            first_keys, first = np.unique(keys[positive], return_index=True)
+            ov_vals[np.searchsorted(ov_keys, first_keys)] = vals[positive][first]
+            parts_keys.append(ov_keys)
+            parts_vals.append(ov_vals)
+        for row, weights in path_weights:
+            parts_keys.append(row * n_res + np.fromiter(weights, np.int64, len(weights)))
+            parts_vals.append(np.fromiter(weights.values(), float, len(weights)))
+
+    # Compute: VNF stage z loads its VNF and site at every destination.
+    c_keys: list[np.ndarray] = []
+    c_vals: list[float] = []
+    c_lens: list[int] = []
+    for row, (chain, fp) in enumerate(zip(chains, fps)):
+        traffic = [
+            w + v for w, v in zip(chain.forward_traffic, chain.reverse_traffic)
+        ]
+        for z, ids in enumerate(fp.compute):
+            c_keys.append(row * n_res + ids)
+            c_vals.append(fp.vnf_load[z] * (traffic[z] + traffic[z + 1]))
+            c_lens.append(ids.size)
+    if c_keys:
+        parts_keys.append(np.concatenate(c_keys))
+        parts_vals.append(np.repeat(np.array(c_vals), c_lens))
+
+    if parts_keys:
+        all_keys = np.concatenate(parts_keys)
+        all_vals = np.concatenate(parts_vals)
+    else:
+        all_keys, all_vals = np.zeros(0, np.int64), np.zeros(0)
+    keys, inverse = np.unique(all_keys, return_inverse=True)
+    values = np.zeros(keys.size)
+    np.add.at(values, inverse, all_vals)
+    return _Weights(keys, values, n_res, len(names)), rows, tables.keys
 
 
 def partition_chains(
@@ -457,20 +595,19 @@ def partition_chains(
         raise PartitionError("max_chains must be positive")
 
     groups = coupling_groups(model)
-    needs_split = max_chains is not None and any(
-        len(group) > max_chains for group in groups
-    )
-    weights: dict[str, dict[ResourceKey, float]] = {}
-    if needs_split:
+    split = [
+        group for group in groups
+        if max_chains is not None and len(group) > max_chains
+    ]
+    if split:
         # Splitting divides shared budgets, so the quality of the split
         # hinges on predicting where each chain's traffic really lands.
         # Amortize one fast SB-DP pre-route into the plan build and use
         # its per-chain link usage as the proportional-split weights.
-        usage = _dp_link_usage(model) if model.routing else {}
-        weights = {
-            name: _chain_resource_weights(model, chain, usage.get(name))
-            for name, chain in model.chains.items()
-        }
+        weights, rows, resource_keys = _resource_weights(
+            model, [name for group in split for name in group]
+        )
+        n_res = len(resource_keys)
 
     partitions: list[Partition] = []
     shares: dict[int, dict[ResourceKey, float]] = {}
@@ -488,35 +625,26 @@ def partition_chains(
         # partitioning (and the same cache keys for unchanged slices).
         num_parts = -(-len(group) // max_chains)
         subgroups = [group[i::num_parts] for i in range(num_parts)]
-        totals: dict[ResourceKey, float] = {}
-        touched: dict[ResourceKey, int] = {}
-        for name in group:
-            for resource, weight in weights[name].items():
-                totals[resource] = totals.get(resource, 0.0) + weight
-                touched[resource] = touched.get(resource, 0) + 1
+        totals, touched = weights.totals([rows[n] for n in group], n_res)
         for subgroup in subgroups:
             index = len(partitions)
             partitions.append(Partition(index, tuple(subgroup), exact=False))
-            sub_weights: dict[ResourceKey, float] = {}
-            sub_touched: dict[ResourceKey, int] = {}
-            for name in subgroup:
-                for resource, weight in weights[name].items():
-                    sub_weights[resource] = (
-                        sub_weights.get(resource, 0.0) + weight
-                    )
-                    sub_touched[resource] = sub_touched.get(resource, 0) + 1
-            part_shares: dict[ResourceKey, float] = {}
-            for resource, weight in sub_weights.items():
-                total = totals[resource]
-                if total > 0:
-                    part_shares[resource] = weight / total
-                else:
-                    # Zero-demand contention (e.g. all-idle chains):
-                    # split evenly among the subgroups that touch it.
-                    part_shares[resource] = (
-                        sub_touched[resource] / touched[resource]
-                    )
-            shares[index] = part_shares
+            sub_weights, sub_touched = weights.totals(
+                [rows[n] for n in subgroup], n_res
+            )
+            res = np.flatnonzero(sub_touched)
+            total = totals[res]
+            # Zero-demand contention (e.g. all-idle chains): split
+            # evenly among the subgroups that touch the resource.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                part = np.where(
+                    total > 0,
+                    sub_weights[res] / total,
+                    sub_touched[res] / touched[res],
+                )
+            shares[index] = {
+                resource_keys[r]: s for r, s in zip(res.tolist(), part.tolist())
+            }
     return PartitionPlan(
         partitions, shares, structure, substrate_digest=model.substrate_digest()
     )
