@@ -315,7 +315,10 @@ class GlobalCoordinator:
         last result."""
         start = time.perf_counter()
         by_region: dict[int, set[str]] = {}
-        for name in set(changed_chains):
+        # Sorted, not set order: updates re-insert chains into regional
+        # models, and insertion order reaches the SB-DP pre-route and
+        # the partition shares, so hash order would leak into the plan.
+        for name in sorted(set(changed_chains)):
             chain = self.model.chains.get(name)
             if chain is None:
                 raise FederationError(f"unknown chain {name!r}")
