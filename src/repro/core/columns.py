@@ -229,11 +229,7 @@ class SubstrateColumns:
     # chain with the same structure maps to the same keys, whatever its
     # name or demand.
 
-    def stage_key(self, name: str, model: NetworkModel) -> tuple:
-        """Stage key of a chain's ingress or egress endpoint."""
-        return ("ep", self.endpoint_id(name, model))
-
-    def stage_nodes(self, key: tuple) -> np.ndarray:
+    def _stage_nodes(self, key: tuple) -> np.ndarray:
         """Network-node indices of a stage key's endpoints."""
         kind, i = key
         if kind == "ep":
@@ -251,8 +247,8 @@ class SubstrateColumns:
         key = (src_key, dst_key)
         links = self._footprints.get(key)
         if links is None:
-            a = self.stage_nodes(src_key)
-            b = self.stage_nodes(dst_key)
+            a = self._stage_nodes(src_key)
+            b = self._stage_nodes(dst_key)
             pids = self.pair_id[np.ix_(a, b)].ravel()
             p = pids[pids >= 0]
             if p.size:
@@ -267,8 +263,8 @@ class SubstrateColumns:
         """A substrate-derived table, built once per view by ``build``.
 
         ``key`` must capture every input besides the substrate itself
-        (e.g. the SB-DP utilization weight).  Tables whose size grows
-        with the workload bound themselves (see ``core/dp.py``).
+        (e.g. the SB-DP utilization weight).  A table keyed by chain
+        structure bounds itself with :data:`MAX_CACHED_STRUCTURES`.
         """
         table = self._tables.get(key)
         if table is None:
@@ -289,6 +285,12 @@ class SubstrateColumns:
         if node is None:
             raise ModelError(f"unknown endpoint {name!r}")
         return node
+
+
+#: Distinct chain structures a structure-keyed table on one substrate
+#: view keeps.  A workload with more (e.g. an open-ended install storm)
+#: starts the table over rather than growing it without bound.
+MAX_CACHED_STRUCTURES = 8192
 
 
 def _rank(names: list[str]) -> np.ndarray:
@@ -482,6 +484,7 @@ class ModelColumns:
 
 
 __all__ = [
+    "MAX_CACHED_STRUCTURES",
     "ChainColumns",
     "ModelColumns",
     "SubstrateColumns",

@@ -35,7 +35,7 @@ from typing import Iterable, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.columns import ragged_gather
+from repro.core.columns import MAX_CACHED_STRUCTURES, ragged_gather
 from repro.core.costs import FORTZ_THORUP, PiecewiseLinearCost
 from repro.core.model import Chain, NetworkModel
 from repro.core.routes import RoutingSolution
@@ -275,7 +275,7 @@ class _DpTables:
     ``invalidate_substrate()`` drops them with the view.  Fronts are
     keyed by chain *structure*, never by name: churn re-submits chains
     under fresh names, and the table stays bounded by the number of
-    distinct structures (and by :data:`_MAX_CACHED_STRUCTURES`).
+    distinct structures (and by ``MAX_CACHED_STRUCTURES``).
     """
 
     def __init__(self) -> None:
@@ -287,15 +287,9 @@ class _DpTables:
         self.transitions: dict[tuple, tuple] = {}
 
     def store(self, key: tuple, fronts: list[_StageFront]) -> None:
-        if len(self.fronts) >= _MAX_CACHED_STRUCTURES:
+        if len(self.fronts) >= MAX_CACHED_STRUCTURES:
             self.fronts.clear()
         self.fronts[key] = fronts
-
-
-#: Distinct chain structures whose SB-DP fronts one substrate view keeps.
-#: A workload with more (e.g. an open-ended install storm) starts over
-#: rather than growing without bound.
-_MAX_CACHED_STRUCTURES = 8192
 
 
 class _DpRouter:

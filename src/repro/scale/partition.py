@@ -48,7 +48,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from repro.core.columns import ragged_gather
+from repro.core.columns import MAX_CACHED_STRUCTURES, ragged_gather
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 
 #: Relative objective gap the split-partition farm is expected to stay
@@ -197,11 +197,6 @@ def _chain_structure(chain: Chain) -> tuple:
     return (chain.ingress, chain.egress, chain.vnfs)
 
 
-#: Chain structures (and demand-positivity patterns) whose resource
-#: tables one substrate view keeps before starting over.
-_MAX_CACHED_STRUCTURES = 8192
-
-
 class _ChainFootprint:
     """Demand-independent resource ids of one chain structure.
 
@@ -210,21 +205,23 @@ class _ChainFootprint:
     the stage's forward and reverse link footprints (sorted link ids).
     """
 
-    __slots__ = ("keys", "compute", "vnf_load", "fwd", "rev")
+    __slots__ = ("compute", "vnf_load", "fwd", "rev")
 
     def __init__(self, model: NetworkModel, sub, tables: "_PartitionTables",
                  chain: Chain):
-        ends = (sub.stage_key(chain.ingress, model),
-                sub.stage_key(chain.egress, model))
         vnfs = [sub.vnf_index[v] for v in chain.vnfs]
-        self.keys = [ends[0]] + [("vnf", vi) for vi in vnfs] + [ends[1]]
+        keys = (
+            [("ep", sub.endpoint_id(chain.ingress, model))]
+            + [("vnf", vi) for vi in vnfs]
+            + [("ep", sub.endpoint_id(chain.egress, model))]
+        )
         self.compute = [
             np.concatenate([tables.deploy_ids[vi], tables.site_ids[vi]])
             for vi in vnfs
         ]
         self.vnf_load = [float(sub.vnf_load[vi]) for vi in vnfs]
-        self.fwd = [sub.footprint(a, b) for a, b in zip(self.keys, self.keys[1:])]
-        self.rev = [sub.footprint(b, a) for a, b in zip(self.keys, self.keys[1:])]
+        self.fwd = [sub.footprint(a, b) for a, b in zip(keys, keys[1:])]
+        self.rev = [sub.footprint(b, a) for a, b in zip(keys, keys[1:])]
 
 
 class _PartitionTables:
@@ -235,7 +232,7 @@ class _PartitionTables:
     """
 
     def __init__(self, sub):
-        n_links, n_sites = len(sub.link_names), len(sub.site_names)
+        n_links = len(sub.link_names)
         self.keys: list[ResourceKey] = [("link", n) for n in sub.link_names]
         self.keys += [("site", s) for s in sub.site_names]
         self.deploy_ids: list[np.ndarray] = []
@@ -246,7 +243,6 @@ class _PartitionTables:
             self.deploy_ids.append(np.arange(start, start + len(sites)))
             self.site_ids.append(n_links + sites)
             self.keys += [("vnf", vnf, sub.site_names[si]) for si in sites]
-        self.n_links = n_links
         self._footprints: dict[tuple, _ChainFootprint] = {}
         self._resource_ids: dict[tuple, np.ndarray] = {}
 
@@ -254,7 +250,7 @@ class _PartitionTables:
         key = (chain.ingress, chain.egress, chain.vnfs)
         fp = self._footprints.get(key)
         if fp is None:
-            if len(self._footprints) >= _MAX_CACHED_STRUCTURES:
+            if len(self._footprints) >= MAX_CACHED_STRUCTURES:
                 self._footprints.clear()
             fp = self._footprints[key] = _ChainFootprint(model, sub, self, chain)
         return fp
@@ -280,7 +276,7 @@ class _PartitionTables:
                     if chain.reverse_traffic[z] > 0:
                         parts.append(fp.rev[z])
             ids = np.concatenate(parts) if parts else np.zeros(0, np.int64)
-            if len(self._resource_ids) >= _MAX_CACHED_STRUCTURES:
+            if len(self._resource_ids) >= MAX_CACHED_STRUCTURES:
                 self._resource_ids.clear()
             self._resource_ids[key] = ids
         return ids
