@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.core.columns import MAX_CACHED_STRUCTURES, ragged_gather
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
@@ -301,6 +299,11 @@ def coupling_groups(model: NetworkModel) -> list[list[str]]:
     The groups are the connected components of the bipartite
     chain-resource incidence graph.
     """
+    # Imported here: csgraph adds ~0.1 s to ``import repro`` for every
+    # caller, and only partitioning needs it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     sub, tables = _tables(model)
     names = list(model.chains)
     ids = [
