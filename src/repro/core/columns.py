@@ -229,12 +229,44 @@ class SubstrateColumns:
     # chain with the same structure maps to the same keys, whatever its
     # name or demand.
 
-    def _stage_nodes(self, key: tuple) -> np.ndarray:
+    def stage_keys(self, chain, model: NetworkModel) -> list[tuple]:
+        """The chain's stage keys in order: ingress, each VNF, egress.
+
+        Stage ``z`` (1-based) runs from ``keys[z - 1]`` to ``keys[z]``.
+        """
+        return (
+            [("ep", self.endpoint_id(chain.ingress, model))]
+            + [("vnf", self.vnf_index[v]) for v in chain.vnfs]
+            + [("ep", self.endpoint_id(chain.egress, model))]
+        )
+
+    def stage_nodes(self, key: tuple) -> np.ndarray:
         """Network-node indices of a stage key's endpoints."""
         kind, i = key
         if kind == "ep":
             return self.endpoint_node[i : i + 1]
         return self.site_node[self.vnf_sites[i]]
+
+    def pair_gather(
+        self, src_key: tuple, dst_key: tuple
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Routing-CSR entries of every (source node, destination node)
+        pair between two stage keys.
+
+        Returns ``(src_pos, dst_pos, pool_idx)``: entry ``k`` is pool
+        entry ``pool_idx[k]`` of the pair from position ``src_pos[k]`` of
+        ``stage_nodes(src_key)`` to position ``dst_pos[k]`` of
+        ``stage_nodes(dst_key)``.  Pairs come source-major and each
+        pair's entries in pool order.
+        """
+        a = self.stage_nodes(src_key)
+        b = self.stage_nodes(dst_key)
+        pids = self.pair_id[np.ix_(a, b)].ravel()
+        valid = np.flatnonzero(pids >= 0)
+        p = pids[valid]
+        pool_idx, row_of = ragged_gather(self.pair_start[p], self.pair_len[p])
+        src_pos, dst_pos = np.divmod(valid[row_of], b.size)
+        return src_pos, dst_pos, pool_idx
 
     def footprint(self, src_key: tuple, dst_key: tuple) -> np.ndarray:
         """Sorted unique ids of every link that traffic from any node of
@@ -247,24 +279,15 @@ class SubstrateColumns:
         key = (src_key, dst_key)
         links = self._footprints.get(key)
         if links is None:
-            a = self._stage_nodes(src_key)
-            b = self._stage_nodes(dst_key)
-            pids = self.pair_id[np.ix_(a, b)].ravel()
-            p = pids[pids >= 0]
-            if p.size:
-                pool_idx, _ = ragged_gather(self.pair_start[p], self.pair_len[p])
-                links = np.unique(self.pool_link[pool_idx])
-            else:
-                links = p
-            self._footprints[key] = links
+            _, _, pool_idx = self.pair_gather(src_key, dst_key)
+            links = self._footprints[key] = np.unique(self.pool_link[pool_idx])
         return links
 
     def cached(self, key: tuple, build: Callable[[], object]) -> object:
         """A substrate-derived table, built once per view by ``build``.
 
         ``key`` must capture every input besides the substrate itself
-        (e.g. the SB-DP utilization weight).  A table keyed by chain
-        structure bounds itself with :data:`MAX_CACHED_STRUCTURES`.
+        (e.g. the SB-DP utilization weight).
         """
         table = self._tables.get(key)
         if table is None:
@@ -285,12 +308,6 @@ class SubstrateColumns:
         if node is None:
             raise ModelError(f"unknown endpoint {name!r}")
         return node
-
-
-#: Distinct chain structures a structure-keyed table on one substrate
-#: view keeps.  A workload with more (e.g. an open-ended install storm)
-#: starts the table over rather than growing it without bound.
-MAX_CACHED_STRUCTURES = 8192
 
 
 def _rank(names: list[str]) -> np.ndarray:
@@ -484,7 +501,6 @@ class ModelColumns:
 
 
 __all__ = [
-    "MAX_CACHED_STRUCTURES",
     "ChainColumns",
     "ModelColumns",
     "SubstrateColumns",

@@ -35,7 +35,6 @@ from typing import Iterable, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.columns import MAX_CACHED_STRUCTURES, ragged_gather
 from repro.core.costs import FORTZ_THORUP, PiecewiseLinearCost
 from repro.core.model import Chain, NetworkModel
 from repro.core.routes import RoutingSolution
@@ -275,7 +274,7 @@ class _DpTables:
     ``invalidate_substrate()`` drops them with the view.  Fronts are
     keyed by chain *structure*, never by name: churn re-submits chains
     under fresh names, and the table stays bounded by the number of
-    distinct structures (and by ``MAX_CACHED_STRUCTURES``).
+    distinct structures.
     """
 
     def __init__(self) -> None:
@@ -285,11 +284,6 @@ class _DpTables:
         #: the same stage transition (e.g. the same consecutive VNF
         #: pair) reuse one entry.
         self.transitions: dict[tuple, tuple] = {}
-
-    def store(self, key: tuple, fronts: list[_StageFront]) -> None:
-        if len(self.fronts) >= MAX_CACHED_STRUCTURES:
-            self.fronts.clear()
-        self.fronts[key] = fronts
 
 
 class _DpRouter:
@@ -572,35 +566,28 @@ class _DpRouter:
         if cached is not None:
             return cached
         sub = self._sub
-        model = self.model
-        ingress = sub.endpoint_id(chain.ingress, model)
-        prev_nodes = np.array([sub.endpoint_node[ingress]], dtype=np.int64)
-        prev_key: tuple = ("ep", ingress)
+        keys = sub.stage_keys(chain, self.model)
         fronts: list[_StageFront] = []
         for z in range(1, chain.num_stages + 1):
+            prev_key, dst_key = keys[z - 1], keys[z]
+            dst_nodes = sub.stage_nodes(dst_key)
             if z == chain.num_stages:
-                ep = sub.endpoint_id(chain.egress, model)
                 dst_names = [chain.egress]
-                dst_nodes = np.array(
-                    [sub.endpoint_node[ep]], dtype=np.int64
-                )
                 dst_sites = None
                 vnf_index = -1
                 load_per_unit = 0.0
-                dst_key: tuple = ("ep", ep)
             else:
-                vnf_index = sub.vnf_index[chain.vnf_at(z)]
+                vnf_index = dst_key[1]
                 dst_sites = sub.vnf_sites[vnf_index]
                 dst_names = [sub.site_names[si] for si in dst_sites]
-                dst_nodes = sub.site_node[dst_sites]
                 load_per_unit = float(sub.vnf_load[vnf_index])
-                dst_key = ("vnf", vnf_index)
             shared = tables.transitions.get((prev_key, dst_key))
             if shared is None:
+                n_dst = dst_nodes.size
                 shared = (
-                    sub.latency[np.ix_(prev_nodes, dst_nodes)],
-                    self._pair_tables(prev_nodes, dst_nodes, False),
-                    self._pair_tables(dst_nodes, prev_nodes, True),
+                    sub.latency[np.ix_(sub.stage_nodes(prev_key), dst_nodes)],
+                    self._pair_tables(prev_key, dst_key, n_dst, False),
+                    self._pair_tables(dst_key, prev_key, n_dst, True),
                 )
                 tables.transitions[(prev_key, dst_key)] = shared
             lat, fwd, rev = shared
@@ -624,37 +611,34 @@ class _DpRouter:
                     rev_bw=rev[4],
                 )
             )
-            prev_nodes = dst_nodes
-            prev_key = dst_key
-        tables.store(key, fronts)
+        tables.fronts[key] = fronts
         return fronts
 
     def _pair_tables(
-        self, a_nodes: np.ndarray, b_nodes: np.ndarray, transpose: bool
+        self, a_key: tuple, b_key: tuple, n_dst: int, transpose: bool
     ) -> tuple[np.ndarray, ...]:
-        """Flat link-gather tables for every (a, b) node pair.
+        """Flat link-gather tables for every (a, b) node pair of a stage
+        with ``n_dst`` destinations.
 
-        ``targets`` maps each pool entry to its cost-matrix element --
-        (a, b) element order, or (b, a) with ``transpose`` (the
-        reverse-traffic direction of a stage).  Entries stay in pool
-        order per pair so the penalty accumulation (``np.add.at`` is
-        sequential) reproduces the scalar code's per-link order.
+        ``targets`` maps each pool entry to its (source x destination)
+        cost-matrix element: ``a`` is the source side, or with
+        ``transpose`` the destination side (the reverse-traffic
+        direction of a stage).  Entries stay in pool order per pair so
+        the penalty accumulation (``np.add.at`` is sequential)
+        reproduces the scalar code's per-link order.
         """
         sub = self._sub
         if not self.model.routing:
             empty_i = np.zeros(0, dtype=np.int64)
             empty_f = np.zeros(0)
             return empty_i, empty_i, empty_f, empty_f, empty_f
-        pids = sub.pair_id[np.ix_(a_nodes, b_nodes)].ravel()
-        valid = np.flatnonzero(pids >= 0)
-        p = pids[valid]
-        pool_idx, row_of = ragged_gather(sub.pair_start[p], sub.pair_len[p])
+        a_pos, b_pos, pool_idx = sub.pair_gather(a_key, b_key)
         links = sub.pool_link[pool_idx]
         fracs = sub.pool_frac[pool_idx]
-        targets = valid[row_of]
         if transpose:
-            a_i, b_i = np.divmod(targets, b_nodes.size)
-            targets = b_i * a_nodes.size + a_i
+            targets = b_pos * n_dst + a_pos
+        else:
+            targets = a_pos * n_dst + b_pos
         return (
             targets,
             links,

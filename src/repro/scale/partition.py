@@ -46,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.columns import MAX_CACHED_STRUCTURES, ragged_gather
+from repro.core.columns import ragged_gather
 from repro.core.model import Chain, CloudSite, Link, NetworkModel, VNF
 
 #: Relative objective gap the split-partition farm is expected to stay
@@ -207,12 +207,8 @@ class _ChainFootprint:
 
     def __init__(self, model: NetworkModel, sub, tables: "_PartitionTables",
                  chain: Chain):
-        vnfs = [sub.vnf_index[v] for v in chain.vnfs]
-        keys = (
-            [("ep", sub.endpoint_id(chain.ingress, model))]
-            + [("vnf", vi) for vi in vnfs]
-            + [("ep", sub.endpoint_id(chain.egress, model))]
-        )
+        keys = sub.stage_keys(chain, model)
+        vnfs = [vi for _, vi in keys[1:-1]]
         self.compute = [
             np.concatenate([tables.deploy_ids[vi], tables.site_ids[vi]])
             for vi in vnfs
@@ -248,8 +244,6 @@ class _PartitionTables:
         key = (chain.ingress, chain.egress, chain.vnfs)
         fp = self._footprints.get(key)
         if fp is None:
-            if len(self._footprints) >= MAX_CACHED_STRUCTURES:
-                self._footprints.clear()
             fp = self._footprints[key] = _ChainFootprint(model, sub, self, chain)
         return fp
 
@@ -274,8 +268,6 @@ class _PartitionTables:
                     if chain.reverse_traffic[z] > 0:
                         parts.append(fp.rev[z])
             ids = np.concatenate(parts) if parts else np.zeros(0, np.int64)
-            if len(self._resource_ids) >= MAX_CACHED_STRUCTURES:
-                self._resource_ids.clear()
             self._resource_ids[key] = ids
         return ids
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.model import Chain, NetworkModel
+from repro.core.model import VNF, Chain, NetworkModel
 from repro.scale import chain_resources, coupling_groups, partition_chains
+from repro.scale.partition import _dp_flow_entries, _path_link_weights, _tables
 from repro.scenarios.library import SCENARIO_KINDS, WorkloadContext, generate
 from repro.topology.pops import PopGridConfig, generate_federation_workload
 from tests.oracles.partition_reference import (
@@ -116,6 +117,57 @@ class TestZeroDemand:
 
     def test_zero_demand_without_routing(self):
         assert assert_same_plan(without_routing(zero_demand_model()), 3) > 0
+
+
+def starved_model() -> NetworkModel:
+    """The most used VNF gets zero capacity at every site, so the SB-DP
+    pre-route cannot carry the chains through it."""
+    model = federation_model(1)
+    uses: dict[str, int] = {}
+    for chain in model.chains.values():
+        for vnf in chain.vnfs:
+            uses[vnf] = uses.get(vnf, 0) + 1
+    name = max(sorted(uses), key=uses.get)
+    old = model.vnfs[name]
+    model.vnfs[name] = VNF(
+        name, old.load_per_unit, {site: 0.0 for site in old.site_capacity}
+    )
+    model.invalidate_substrate()
+    return model
+
+
+class TestChainsWithoutPreRoute:
+    """Chains the pre-route carried nothing for take their link weights
+    from the latency-best path plus the overflow share, stage by stage."""
+
+    def test_capacity_starved_chains(self):
+        model = starved_model()
+        sub, tables = _tables(model)
+        names = list(model.chains)
+        rows, _, _ = _dp_flow_entries(
+            model, sub, {name: i for i, name in enumerate(names)}
+        )
+        carried = {names[r] for r in rows.tolist()}
+        path_weighted = []
+        for name in names:
+            chain = model.chains[name]
+            if name in carried or not any(
+                w > 0 for w in chain.forward_traffic + chain.reverse_traffic
+            ):
+                continue
+            fp = tables.footprint(model, sub, chain)
+            if _path_link_weights(model, sub, fp, chain):
+                path_weighted.append(name)
+        # The case is not vacuous: chains with positive demand and no
+        # pre-route usage get non-empty path link weights, and they sit
+        # in split groups, where the weights set the shares.
+        assert len(path_weighted) >= 3
+        plan = partition_chains(model, 3)
+        assert any(
+            not plan.partitions[plan.chain_partition[name]].exact
+            for name in path_weighted
+        )
+        assert assert_same_plan(model, 3) > 0
 
 
 def scenario_models(kind: str, seed: int) -> list[NetworkModel]:
