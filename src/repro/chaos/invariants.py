@@ -30,10 +30,12 @@ exercise:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, TYPE_CHECKING
 
-from repro.controller.replication import ReplicatedStore, ReplicationError
+# The lease monitor lives with the elector; it is re-exported here
+# beside the probe that reads its grants.
+from repro.resilience.lease import LeaseGrant, LeaseMonitor  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bus.bus import GlobalMessageBus
@@ -327,69 +329,8 @@ def bus_delivery(bus: "GlobalMessageBus") -> Callable[[], list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Leader-lease monitoring
+# Leader-lease safety
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LeaseGrant:
-    """One successful lease acquisition (possibly truncated by an
-    explicit release)."""
-
-    owner: str
-    granted_at: float
-    expires_at: float
-    quorum_alive: int = 0
-
-
-@dataclass
-class LeaseMonitor:
-    """Wraps a :class:`ReplicatedStore`'s lease API, recording every
-    grant so lease safety is checkable after the fact.
-
-    Renewals by the owner extend its latest grant; a release truncates
-    it.  Quorum loss turns acquisition attempts into clean failures
-    (recorded as such) instead of exceptions inside scenario events.
-    """
-
-    store: ReplicatedStore
-    grants: list[LeaseGrant] = field(default_factory=list)
-    failed_acquires: int = 0
-
-    def acquire(self, owner: str, now: float, duration: float) -> bool:
-        try:
-            ok = self.store.acquire_lease(owner, now, duration)
-        except ReplicationError:
-            self.failed_acquires += 1
-            return False
-        if ok:
-            latest = self.grants[-1] if self.grants else None
-            if latest is not None and latest.owner == owner and (
-                latest.expires_at >= now
-            ):
-                latest.expires_at = now + duration  # renewal
-            else:
-                self.grants.append(
-                    LeaseGrant(owner, now, now + duration,
-                               self.store.alive_count())
-                )
-        return ok
-
-    def release(self, owner: str, now: float) -> None:
-        try:
-            self.store.release_lease(owner)
-        except ReplicationError:
-            return
-        for grant in reversed(self.grants):
-            if grant.owner == owner and grant.expires_at > now:
-                grant.expires_at = now
-                break
-
-    def leader(self, now: float) -> str | None:
-        try:
-            return self.store.leader(now)
-        except ReplicationError:
-            return None
 
 
 def lease_safety(monitor: LeaseMonitor) -> Callable[[], list[str]]:

@@ -15,29 +15,29 @@ The result is a :class:`SoakReport`: invariant violations (the run
 passes only with zero), carried traffic before/after, per-failure
 recovery ratios, bus delivery counters, drop reasons, and leader-lease
 activity.  ``to_json()`` is deterministic -- it contains only
-simulation-derived values, never wall-clock timings (those go to the
-metrics registry as ``chaos.recovery_s``).
+simulation-derived values, never wall-clock timings.
+
+The scheduling, the shared network-fault handlers, the probe-drain-
+settle run and the report framing come from
+:mod:`repro.chaos.harness`; the controller lease is the shared
+:class:`~repro.resilience.lease.LeaderLease` elector.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.bus.bus import GlobalMessageBus, make_bus, proxy_name
 from repro.bus.topics import Topic
+from repro.chaos.harness import FaultEngine, SoakReportBase
 from repro.chaos.invariants import (
-    InvariantChecker,
     LeaseMonitor,
-    Violation,
     bus_delivery,
     capacity_safety,
     lease_safety,
     link_conservation,
-    network_quiescence,
     no_orphaned_reservations,
     two_phase_atomicity,
 )
@@ -50,6 +50,7 @@ from repro.chaos.scenario import (
 from repro.controller import (
     ChainSpecification,
     GlobalSwitchboard,
+    InstallationError,
     LocalSwitchboard,
 )
 from repro.controller.failures import (
@@ -62,15 +63,28 @@ from repro.controller.replication import ReplicatedStore
 from repro.core.model import CloudSite, NetworkModel, VNF
 from repro.dataplane import DataPlane
 from repro.edge import EdgeController, EdgeInstance
-from repro.obs import MetricsRegistry, collect_bus, collect_network
+from repro.obs import MetricsRegistry
 from repro.resilience import (
     FailoverManager,
+    LeaderLease,
     ReconciliationSweeper,
     ResilienceConfig,
 )
 from repro.simnet.events import Simulator
 from repro.simnet.network import SimNetwork
 from repro.vnf import VnfService
+
+
+#: Forward demand of each seeded chain (reverse is a quarter of it).
+CHAIN_DEMAND = 3.0
+#: Publishes per second from each site's application client.
+PUBLISH_RATE_HZ = 4.0
+#: Controller lease: duration, and the elector's renewal interval.
+LEASE_DURATION_S = 4.0
+LEASE_RENEW_S = 1.5
+#: Control-fault mode: live bus-driven installs and their deadline.
+NUM_LIVE_INSTALLS = 6
+INSTALL_DEADLINE_S = 8.0
 
 
 @dataclass(frozen=True)
@@ -80,11 +94,6 @@ class SoakConfig:
     seed: int = 1
     duration_s: float = 60.0
     num_chains: int = 8
-    chain_demand: float = 3.0
-    publish_rate_hz: float = 4.0
-    probe_interval_s: float = 1.0
-    lease_duration_s: float = 4.0
-    lease_renew_s: float = 1.5
     partition: bool = False
     #: Control-plane fault mode: live bus-driven installs run mid-soak
     #: while control links lose messages and the active Global
@@ -92,8 +101,6 @@ class SoakConfig:
     #: deadlines, sweeper, standby failover) must keep every invariant.
     control_faults: bool = False
     control_loss: float = 0.2
-    num_live_installs: int = 6
-    install_deadline_s: float = 8.0
     scenario: ScenarioConfig | None = None
 
     def scenario_config(self) -> ScenarioConfig:
@@ -127,6 +134,10 @@ _NODE_LATENCY = {
     ("a", "b"): 8.0, ("a", "c"): 8.0, ("a", "d"): 8.0,
     ("b", "c"): 16.0, ("b", "d"): 16.0, ("c", "d"): 16.0,
 }
+#: Site-to-proxy WAN links the fault schedule flaps, degrades and drops.
+WAN_PAIRS = tuple(
+    (f"wan.{a}", proxy_name(b)) for a in SITES for b in SITES if a != b
+)
 #: Leader candidates for the controller lease (primary + standby).
 CANDIDATES = ("gs-primary", "gs-standby")
 
@@ -143,6 +154,9 @@ class Deployment:
     monitor: LeaseMonitor
     registry: MetricsRegistry
     sites: tuple[str, ...] = SITES
+    #: The controller lease elector (the failover manager in
+    #: control-fault mode).
+    lease: LeaderLease | None = None
     #: Populated in control-fault mode only.
     installer: BusDrivenInstaller | None = None
     failover: FailoverManager | None = None
@@ -169,7 +183,7 @@ def build_deployment(config: SoakConfig) -> Deployment:
     # Capacity: every VNF at every site, sized so three surviving sites
     # can carry the whole population (a single-site outage is fully
     # recoverable; concurrent link faults may still degrade).
-    total_load = config.num_chains * 2.5 * config.chain_demand
+    total_load = config.num_chains * 2.5 * CHAIN_DEMAND
     per_site = total_load * 1.6 / (len(SITES) - 1)
     capacity = {site: per_site for site in SITES}
     vnfs = [VNF("fw", 1.0, dict(capacity)), VNF("nat", 1.0, dict(capacity))]
@@ -201,8 +215,8 @@ def build_deployment(config: SoakConfig) -> Deployment:
             ChainSpecification(
                 f"chain{i}", "vpn", f"att-{ingress}", f"att-{egress}",
                 chain_vnfs,
-                forward_demand=config.chain_demand,
-                reverse_demand=config.chain_demand * 0.25,
+                forward_demand=CHAIN_DEMAND,
+                reverse_demand=CHAIN_DEMAND * 0.25,
                 dst_prefixes=[f"20.0.{i}.0/24"],
             )
         )
@@ -220,7 +234,7 @@ def build_deployment(config: SoakConfig) -> Deployment:
             vnf_controller_sites={"fw": "B", "nat": "C"},
             metrics=registry,
             resilience=ResilienceConfig(
-                install_deadline_s=config.install_deadline_s,
+                install_deadline_s=INSTALL_DEADLINE_S,
                 seed=config.seed,
             ),
             store=store,
@@ -228,69 +242,18 @@ def build_deployment(config: SoakConfig) -> Deployment:
     return deployment
 
 
-class ChaosEngine:
+class ChaosEngine(FaultEngine):
     """Maps :class:`FaultEvent`\\ s onto the deployment's fault
-    primitives and recovery entry points, and runs the leader-lease
-    loop."""
+    primitives and recovery entry points."""
 
     def __init__(self, deployment: Deployment, config: SoakConfig):
-        self.d = deployment
-        self.config = config
-        self.applied: list[tuple[float, str]] = []
+        super().__init__(deployment, config)
         self.reports: list[FailureReport] = []
         #: site -> (site capacity, per-VNF capacity) stashed at failure.
         self._site_stash: dict[str, tuple[float, dict[str, float]]] = {}
         self._site_reports: dict[str, FailureReport] = {}
-        self.dead_candidates: set[str] = set()
-        self.leader_transitions = 0
         self.leaders_killed = 0
         self.gs_crashes = 0
-        self._last_leader: str | None = None
-        self._recovery_hist = deployment.registry.histogram(
-            "chaos.recovery_s"
-        )
-
-    # -- scheduling -----------------------------------------------------
-
-    def schedule(self, scenario: Scenario) -> None:
-        for event in scenario.events:
-            self.d.sim.schedule_at(event.at, self._apply, event)
-
-    def start_lease_loop(self) -> None:
-        def tick() -> None:
-            now = self.d.sim.now
-            for candidate in CANDIDATES:
-                if candidate not in self.dead_candidates:
-                    self.d.monitor.acquire(
-                        candidate, now, self.config.lease_duration_s
-                    )
-            leader = self.d.monitor.leader(now)
-            if leader is not None and leader != self._last_leader:
-                if self._last_leader is not None:
-                    self.leader_transitions += 1
-                self._last_leader = leader
-            if now + self.config.lease_renew_s <= self.config.duration_s:
-                self.d.sim.schedule(self.config.lease_renew_s, tick)
-
-        self.d.sim.schedule(0.0, tick)
-
-    # -- event application ----------------------------------------------
-
-    def _apply(self, event: FaultEvent) -> None:
-        handler = getattr(self, f"_on_{event.kind}")
-        started = time.perf_counter()
-        handler(event)
-        if event.kind in ("fail_site", "restore_site", "kill_leader"):
-            # Recovery work runs synchronously inside the event; its
-            # wall-clock cost is the honest "recovery latency" here.
-            self._recovery_hist.observe(time.perf_counter() - started)
-        self.applied.append((round(self.d.sim.now, 9), event.kind))
-
-    def _on_link_down(self, event: FaultEvent) -> None:
-        self.d.net.fail_link(*event.target)
-
-    def _on_link_up(self, event: FaultEvent) -> None:
-        self.d.net.restore_link(*event.target)
 
     def _on_link_loss(self, event: FaultEvent) -> None:
         self.d.net.set_link_loss(*event.target, event.value)
@@ -306,15 +269,6 @@ class ChaosEngine:
                 [h.name for h in self.d.net.hosts if h.site in members]
             )
         self.d.net.partition(groups)
-
-    def _on_heal_partition(self, event: FaultEvent) -> None:
-        self.d.net.heal_partition()
-
-    def _on_crash_host(self, event: FaultEvent) -> None:
-        self.d.net.crash_host(event.target[0])
-
-    def _on_restart_host(self, event: FaultEvent) -> None:
-        self.d.net.restart_host(event.target[0])
 
     def _on_fail_site(self, event: FaultEvent) -> None:
         site = event.target[0]
@@ -346,8 +300,8 @@ class ChaosEngine:
                 if name in self.d.gs.installations:
                     try:
                         self.d.gs.extend_chain(name)
-                    except Exception:
-                        pass
+                    except InstallationError:
+                        pass  # no capacity for the remainder yet
 
     def _on_control_loss(self, event: FaultEvent) -> None:
         """Probabilistic loss on every cross-site control link at once
@@ -369,21 +323,18 @@ class ChaosEngine:
             return
         self.gs_crashes += 1
         self.d.net.crash_host(installer.gs_host)
-        failover = self.d.failover
-        if failover is not None:
-            failover.mark_dead(failover.active)
+        self.d.lease.mark_dead(self.d.lease.active_name)
 
     def _on_kill_leader(self, event: FaultEvent) -> None:
         leader = self.d.monitor.leader(self.d.sim.now)
         if leader is None:
             return
-        self.dead_candidates.add(leader)
+        self.d.lease.mark_dead(leader)
         self.leaders_killed += 1
         # The killed process comes back (as a standby) well after its
         # old lease expired and the survivor took over.
         self.d.sim.schedule(
-            3 * self.config.lease_duration_s,
-            self.dead_candidates.discard, leader,
+            3 * LEASE_DURATION_S, self.d.lease.revive, leader
         )
 
 
@@ -408,10 +359,10 @@ def _start_workload(d: Deployment, config: SoakConfig) -> None:
                 d.bus.subscribe(f"mon.{site}", topics[other])
 
     rng = random.Random(f"publish-{config.seed}")
-    count = int(config.duration_s * config.publish_rate_hz)
+    count = int(config.duration_s * PUBLISH_RATE_HZ)
     for site in d.sites:
         for k in range(count):
-            at = (k + rng.random()) / config.publish_rate_hz
+            at = (k + rng.random()) / PUBLISH_RATE_HZ
             if at < config.duration_s:
                 d.sim.schedule_at(
                     at, d.bus.publish, f"app.{site}", topics[site],
@@ -428,14 +379,14 @@ def _start_install_workload(d: Deployment, config: SoakConfig) -> None:
     assert installer is not None
     rng = random.Random(f"installs-{config.seed}")
     lo, hi = 0.15 * config.duration_s, 0.5 * config.duration_s
-    for i in range(config.num_live_installs):
+    for i in range(NUM_LIVE_INSTALLS):
         ingress, egress = rng.sample(list(d.sites), 2)
         chain_vnfs = ["fw"] if rng.random() < 0.5 else ["fw", "nat"]
         spec = ChainSpecification(
             f"live{i}", "vpn", f"att-{ingress}", f"att-{egress}",
             chain_vnfs,
-            forward_demand=config.chain_demand * 0.5,
-            reverse_demand=config.chain_demand * 0.125,
+            forward_demand=CHAIN_DEMAND * 0.5,
+            reverse_demand=CHAIN_DEMAND * 0.125,
             dst_prefixes=[f"21.0.{i}.0/24"],
         )
         d.sim.schedule_at(
@@ -450,16 +401,10 @@ def _start_install_workload(d: Deployment, config: SoakConfig) -> None:
 
 
 @dataclass
-class SoakReport:
+class SoakReport(SoakReportBase):
     """Outcome of one soak; ``passed`` iff no invariant was violated."""
 
-    seed: int
-    duration_s: float
-    scenario_digest: str
     chains: int
-    event_counts: dict[str, int]
-    events_applied: list[tuple[float, str]]
-    violations: list[Violation]
     carried_before: float
     carried_after: float
     recovery: list[dict] = field(default_factory=list)
@@ -470,16 +415,11 @@ class SoakReport:
     lease_grants: int = 0
     leader_transitions: int = 0
     leaders_killed: int = 0
-    probes_run: int = 0
     # Control-fault mode (zero/absent activity otherwise).
     installs_submitted: int = 0
     installs_completed: int = 0
     installs_failed: int = 0
     deadline_aborts: int = 0
-    rpc_sent: int = 0
-    rpc_retries: int = 0
-    rpc_timeouts: int = 0
-    rpc_duplicates: int = 0
     gs_crashes: int = 0
     failover_takeovers: int = 0
     stale_reservations_swept: int = 0
@@ -488,26 +428,11 @@ class SoakReport:
     workload_counts: dict[str, int] = field(default_factory=dict)
     workload_ops_applied: int = 0
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
     def to_doc(self) -> dict:
         """Deterministic document: simulation-derived values only."""
         return {
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "scenario_digest": self.scenario_digest,
+            **self.scenario_doc(),
             "chains": self.chains,
-            "event_counts": self.event_counts,
-            "events_applied": [
-                {"at": at, "kind": kind} for at, kind in self.events_applied
-            ],
-            "violations": [
-                {"at": round(v.at, 9), "invariant": v.invariant,
-                 "detail": v.detail}
-                for v in self.violations
-            ],
             "carried_before": round(self.carried_before, 6),
             "carried_after": round(self.carried_after, 6),
             "recovery": self.recovery,
@@ -522,7 +447,6 @@ class SoakReport:
                 "transitions": self.leader_transitions,
                 "killed": self.leaders_killed,
             },
-            "probes_run": self.probes_run,
             "control": {
                 "installs_submitted": self.installs_submitted,
                 "installs_completed": self.installs_completed,
@@ -541,22 +465,13 @@ class SoakReport:
                 "counts": self.workload_counts,
                 "ops_applied": self.workload_ops_applied,
             },
-            "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"),
-                          sort_keys=True)
 
     def render(self) -> str:
         lines = [
             f"chaos soak: seed={self.seed} duration={self.duration_s:g}s "
             f"chains={self.chains}",
-            f"schedule digest: {self.scenario_digest[:16]}... "
-            f"({sum(self.event_counts.values())} events)",
-            "events: " + ", ".join(
-                f"{kind}={n}" for kind, n in sorted(self.event_counts.items())
-            ),
+            *self.render_schedule(),
             f"carried fraction: {self.carried_before:.3f} before -> "
             f"{self.carried_after:.3f} after",
         ]
@@ -604,14 +519,7 @@ class SoakReport:
                     ) if v
                 )
             )
-        lines.append(f"invariant probes run: {self.probes_run}")
-        if self.passed:
-            lines.append("PASS: zero invariant violations")
-        else:
-            lines.append(f"FAIL: {len(self.violations)} violation(s)")
-            for violation in self.violations[:20]:
-                lines.append(f"  {violation}")
-        return "\n".join(lines)
+        return "\n".join(lines + self.render_verdict())
 
 
 def _mean_carried(gs: GlobalSwitchboard) -> float:
@@ -663,13 +571,8 @@ def run_soak(
         workload_engine.schedule(workload)
 
     if scenario is None:
-        wan_pairs = []
-        for a in d.sites:
-            for b in d.sites:
-                if a != b:
-                    wan_pairs.append((f"wan.{a}", proxy_name(b)))
         scenario = generate_scenario(
-            config.seed, d.sites, wan_pairs, config.scenario_config()
+            config.seed, d.sites, WAN_PAIRS, config.scenario_config()
         )
 
     engine = ChaosEngine(d, config)
@@ -682,63 +585,43 @@ def run_soak(
             d.store,
             monitor=d.monitor,
             candidates=CANDIDATES,
-            lease_duration_s=config.lease_duration_s,
-            check_interval_s=config.lease_renew_s,
+            lease_duration_s=LEASE_DURATION_S,
+            check_interval_s=LEASE_RENEW_S,
             metrics=d.registry,
         )
+        d.lease = d.failover
         d.failover.start(config.duration_s)
         d.sweeper = ReconciliationSweeper(d.installer, metrics=d.registry)
         d.sweeper.start(config.duration_s)
         _start_install_workload(d, config)
     else:
-        engine.start_lease_loop()
+        # A bare elector: a lease with no takeover action.
+        d.lease = LeaderLease(
+            d.sim, d.store, CANDIDATES, LEASE_DURATION_S, LEASE_RENEW_S,
+            monitor=d.monitor,
+        )
+        d.sim.schedule(0.0, d.lease.start, config.duration_s)
     _start_workload(d, config)
 
-    checker = InvariantChecker(d.sim, interval_s=config.probe_interval_s)
-    checker.add("link_conservation", link_conservation(d.net))
-    checker.add("two_phase_atomicity", two_phase_atomicity(d.gs, d.installer))
-    checker.add("capacity_safety", capacity_safety(d.gs, d.installer))
-    checker.add(
-        "no_orphaned_reservations",
-        no_orphaned_reservations(d.gs, d.installer),
-    )
-    checker.add("bus_delivery", bus_delivery(d.bus))
-    checker.add("lease_safety", lease_safety(d.monitor))
-    if extra_probes:
-        for name, probe in extra_probes.items():
-            checker.add(name, probe)
+    probes = [
+        ("link_conservation", link_conservation(d.net)),
+        ("two_phase_atomicity", two_phase_atomicity(d.gs, d.installer)),
+        ("capacity_safety", capacity_safety(d.gs, d.installer)),
+        ("no_orphaned_reservations",
+         no_orphaned_reservations(d.gs, d.installer)),
+        ("bus_delivery", bus_delivery(d.bus)),
+        ("lease_safety", lease_safety(d.monitor)),
+        *(extra_probes or {}).items(),
+    ]
     if workload_probes is not None and workload_engine is not None:
-        for name, probe in workload_probes(workload_engine).items():
-            checker.add(name, probe)
-    checker.start(config.duration_s)
+        probes.extend(workload_probes(workload_engine).items())
+    checker = engine.run(probes, config.duration_s)
 
-    d.net.run(until=config.duration_s)
-    d.net.run()  # drain in-flight deliveries and late heal events
-    checker.check_now()
-    # With the queue drained, nothing may remain in flight.
-    quiescence = network_quiescence(d.net)
-    for detail in quiescence():
-        checker.violations.append(
-            Violation(d.sim.now, "network_quiescence", detail)
-        )
-
-    collect_network(d.registry, d.net)
-    collect_bus(d.registry, d.bus)
-    if d.installer is not None:
-        from repro.obs import collect_resilience
-
-        collect_resilience(
-            d.registry, d.installer, failover=d.failover, sweeper=d.sweeper
-        )
-
-    leader_transitions = engine.leader_transitions
-    if config.control_faults:
-        # The failover manager drove the lease; count owner changes
-        # across the recorded grants.
-        owners = [g.owner for g in d.monitor.grants]
-        leader_transitions = sum(
-            1 for i in range(1, len(owners)) if owners[i] != owners[i - 1]
-        )
+    # Leader transitions: owner changes across the recorded grants.
+    owners = [g.owner for g in d.monitor.grants]
+    leader_transitions = sum(
+        1 for i in range(1, len(owners)) if owners[i] != owners[i - 1]
+    )
 
     installer = d.installer
     completed = sum(

@@ -476,6 +476,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
     from repro.core.lp import LpObjective
     from repro.federation import FaultPolicy, GlobalCoordinator, check_all
     from repro.federation import run_soak as run_federation_soak
+    from repro.federation.soak import install_base
     from repro.obs import MetricsRegistry, collect_federation, registry_to_dict
     from repro.topology.pops import PopGridConfig, generate_federation_workload
 
@@ -492,12 +493,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
             locality=args.locality,
             partition_size=args.partition_size,
         )
-        report = run_federation_chaos(chaos_config)
-        print(report.to_json() if args.json else report.render())
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report.to_json() + "\n")
-        return 0 if report.passed else 1
+        return _emit_soak_report(run_federation_chaos(chaos_config), args)
 
     config = PopGridConfig(
         num_pops=args.pops,
@@ -544,13 +540,7 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         base, pool = chains[:split], chains[split:]
         for chain in chains:
             model.remove_chain(chain.name)
-        installed = 0
-        for chain in base:
-            try:
-                coordinator.submit(chain)
-                installed += 1
-            except Exception:
-                coordinator.sweep()
+        installed = install_base(coordinator, base)["installed"]
         print(f"soak base: {installed}/{len(base)} chains installed")
         report = run_federation_soak(
             model, coordinator, pool, ops=args.soak, seed=args.seed
@@ -698,9 +688,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         control_faults=args.control_faults,
         control_loss=args.control_loss,
     )
-    report = run_soak(config)
-    output = report.to_json() if args.json else report.render()
-    print(output)
+    return _emit_soak_report(run_soak(config), args)
+
+
+def _emit_soak_report(report, args: argparse.Namespace) -> int:
+    """Print a chaos soak report (JSON or rendered), write it to
+    ``--out``, and exit 1 on any invariant violation."""
+    print(report.to_json() if args.json else report.render())
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report.to_json() + "\n")

@@ -18,21 +18,24 @@ submission times, the fault schedule, the RPC jitter, and the retry
 backoffs -- so ``run_federation_chaos(config)`` twice with the same
 config produces byte-identical :meth:`FederationChaosReport.to_json`
 output (asserted by the tests and the CI smoke step).
+
+The scheduling, the shared network-fault handlers, the probe-drain-
+settle run and the report framing come from :mod:`repro.chaos.harness`,
+shared with the monolithic soak.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
+from repro.chaos.harness import FaultEngine, SoakReportBase
 from repro.chaos.invariants import (
     InvariantChecker,
     LeaseMonitor,
     Violation,
     lease_safety,
     link_conservation,
-    network_quiescence,
 )
 from repro.chaos.scenario import FaultEvent, Scenario
 from repro.controller.replication import ReplicatedStore
@@ -40,6 +43,7 @@ from repro.core.model import Chain, NetworkModel
 from repro.federation.ha import FederationFailover, FederationStore
 from repro.federation.invariants import federation_probes
 from repro.federation.nodes import CoordinatorNode, RegionalNode
+from repro.federation.soak import install_base
 from repro.obs import MetricsRegistry
 from repro.resilience.rpc import BackoffPolicy, RpcConfig, RpcLayer
 from repro.simnet.events import Simulator
@@ -48,6 +52,12 @@ from repro.topology.pops import PopGridConfig, generate_federation_workload
 
 #: Coordinator hosts, in failover priority order, on the core site.
 COORDINATOR_HOSTS = ("fed.primary", "fed.standby")
+#: Share of the workload installed before the clock starts.
+BASE_FRACTION = 0.5
+#: Fault windows: link flap, region partition, regional process outage.
+FLAP_DOWN_S = 3.0
+PARTITION_S = 8.0
+REGION_DOWN_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,7 @@ class FederationChaosConfig:
 
     The workload is a generated clustered PoP grid
     (:func:`~repro.topology.pops.generate_federation_workload`);
-    ``base_fraction`` of its chains are installed synchronously before
+    :data:`BASE_FRACTION` of its chains are installed synchronously before
     the clock starts (the standing population the faults disturb), the
     rest arrive live at the regional nodes mid-run.  ``locality``
     controls how many submissions are cross-shard.
@@ -69,20 +79,15 @@ class FederationChaosConfig:
     regions: int = 3
     chains: int = 36
     locality: float = 0.6
-    base_fraction: float = 0.5
     partition_size: int | None = 8
     # Fault mix.
     link_flaps: int = 2
-    flap_down_s: float = 3.0
     partition: bool = True
-    partition_s: float = 8.0
     coordinator_crash: bool = True
     region_restart: bool = True
-    region_down_s: float = 2.0
     # Control-plane timing.
     lease_duration_s: float = 2.0
     check_interval_s: float = 0.5
-    probe_interval_s: float = 1.0
     install_deadline_s: float = 6.0
 
 
@@ -131,6 +136,20 @@ class FederationDeployment:
         for node in self.coordinators:
             flight |= node.in_flight()
         return flight
+
+    def probes(self, final: bool = False) -> dict:
+        """The federation invariant probes; ``final`` adds quiescence
+        and drained queues, for after the settle."""
+        return federation_probes(
+            self.active_coordinator,
+            in_flight=self.in_flight,
+            skip_regions=self.skip_regions,
+            quiescent=final,
+            nodes=self.coordinators,
+            net=self.net,
+            region_nodes=list(self.region_nodes.values()),
+            final=final,
+        )
 
 
 def build_federation_deployment(
@@ -246,15 +265,13 @@ def build_federation_deployment(
     # Base population: installed synchronously (in-process protocol)
     # before the clock starts, durably checkpointed via the record
     # hooks -- exactly the state a takeover must be able to rebuild.
-    split = max(1, int(len(chains) * config.base_fraction))
+    split = max(1, int(len(chains) * BASE_FRACTION))
     deployment.base_chains = chains[:split]
     deployment.live_chains = chains[split:]
-    for chain in deployment.base_chains:
-        try:
-            primary.submit(chain)
-            deployment.base_installed += 1
-        except Exception:
-            continue  # infeasible under the border budget: skip
+    # A chain infeasible under the border budget is skipped.
+    deployment.base_installed = install_base(
+        primary, deployment.base_chains
+    )["installed"]
     return deployment
 
 
@@ -290,7 +307,7 @@ def generate_federation_scenario(
 
     for _ in range(config.link_flaps):
         pair = rng.choice(pairs)
-        start, end = window(config.flap_down_s)
+        start, end = window(FLAP_DOWN_S)
         events.append(FaultEvent(start, "link_down", tuple(pair)))
         events.append(FaultEvent(end, "link_up", tuple(pair)))
 
@@ -302,7 +319,7 @@ def generate_federation_scenario(
                 if h != isolated
             )
         )
-        start, end = window(config.partition_s)
+        start, end = window(PARTITION_S)
         events.append(
             FaultEvent(start, "partition", ((isolated,), rest))
         )
@@ -314,46 +331,30 @@ def generate_federation_scenario(
 
     if config.region_restart:
         host = rng.choice(region_hosts)
-        start, end = window(config.region_down_s)
+        start, end = window(REGION_DOWN_S)
         events.append(FaultEvent(start, "crash_host", (host,)))
         events.append(FaultEvent(end, "restart_host", (host,)))
 
     return Scenario(seed=config.seed, duration_s=duration, events=events)
 
 
-class FederationChaosEngine:
+class FederationChaosEngine(FaultEngine):
     """Maps scenario events onto the deployed federation's fault
     primitives and heal-time reconciliation."""
 
     def __init__(
         self, deployment: FederationDeployment, config: FederationChaosConfig
     ):
-        self.d = deployment
-        self.config = config
-        self.applied: list[tuple[float, str]] = []
+        super().__init__(deployment, config)
         self.coordinator_crashes = 0
         self.region_restarts = 0
         self.crash_at: float | None = None
-
-    def schedule(self, scenario: Scenario) -> None:
-        for event in scenario.events:
-            self.d.sim.schedule_at(event.at, self._apply, event)
-
-    def _apply(self, event: FaultEvent) -> None:
-        getattr(self, f"_on_{event.kind}")(event)
-        self.applied.append((round(self.d.sim.now, 9), event.kind))
-
-    def _on_link_down(self, event: FaultEvent) -> None:
-        self.d.net.fail_link(*event.target)
-
-    def _on_link_up(self, event: FaultEvent) -> None:
-        self.d.net.restore_link(*event.target)
 
     def _on_partition(self, event: FaultEvent) -> None:
         self.d.net.partition([list(group) for group in event.target])
 
     def _on_heal_partition(self, event: FaultEvent) -> None:
-        self.d.net.heal_partition()
+        super()._on_heal_partition(event)
         # Heal-time reconciliation: the acting coordinator re-syncs
         # every region against the durable record (releasing orphaned
         # prepares, settling unacked commits, collecting degraded-mode
@@ -368,16 +369,30 @@ class FederationChaosEngine:
         self.crash_at = self.d.sim.now
         self.d.failover.crash_active()
 
-    def _on_crash_host(self, event: FaultEvent) -> None:
-        self.d.net.crash_host(event.target[0])
-
     def _on_restart_host(self, event: FaultEvent) -> None:
-        host = event.target[0]
-        self.d.net.restart_host(host)
+        super()._on_restart_host(event)
         for node in self.d.region_nodes.values():
-            if node.host == host:
+            if node.host == event.target[0]:
                 self.region_restarts += 1
                 node.restart()
+
+    def settle(self, checker: InvariantChecker) -> None:
+        """The acting coordinator reconciles once more (all faults
+        healed except the crashed primary, which stays down) and the
+        regions re-drive whatever is still queued; after a drain, every
+        probe runs in its final form (quiescence, drained queues)."""
+        d = self.d
+        active = d.active_coordinator()
+        if active is not None:
+            active.reconcile_all()
+        for node in d.region_nodes.values():
+            node.resume()
+        d.net.run()
+        for name, probe in d.probes(final=True).items():
+            for detail in probe():
+                checker.violations.append(
+                    Violation(d.sim.now, f"final:{name}", detail)
+                )
 
 
 def _start_live_workload(
@@ -396,16 +411,10 @@ def _start_live_workload(
 
 
 @dataclass
-class FederationChaosReport:
+class FederationChaosReport(SoakReportBase):
     """Outcome of one federated chaos run; deterministic per seed."""
 
-    seed: int
-    duration_s: float
-    scenario_digest: str
     regions: int
-    event_counts: dict[str, int]
-    events_applied: list[tuple[float, str]]
-    violations: list[Violation]
     base_installed: int
     live_submitted: int
     outcomes: dict[str, int]
@@ -420,32 +429,12 @@ class FederationChaosReport:
     recovered_commits: int
     reconciliations: int
     region_restarts: int
-    probes_run: int
-    rpc_sent: int = 0
-    rpc_retries: int = 0
-    rpc_timeouts: int = 0
-    rpc_duplicates: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
     def to_doc(self) -> dict:
         """Deterministic document: simulation-derived values only."""
         return {
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "scenario_digest": self.scenario_digest,
+            **self.scenario_doc(),
             "regions": self.regions,
-            "event_counts": self.event_counts,
-            "events_applied": [
-                {"at": at, "kind": kind} for at, kind in self.events_applied
-            ],
-            "violations": [
-                {"at": round(v.at, 9), "invariant": v.invariant,
-                 "detail": v.detail}
-                for v in self.violations
-            ],
             "base_installed": self.base_installed,
             "live_submitted": self.live_submitted,
             "outcomes": self.outcomes,
@@ -465,30 +454,19 @@ class FederationChaosReport:
             },
             "reconciliations": self.reconciliations,
             "region_restarts": self.region_restarts,
-            "probes_run": self.probes_run,
             "rpc": {
                 "sent": self.rpc_sent,
                 "retries": self.rpc_retries,
                 "timeouts": self.rpc_timeouts,
                 "duplicates": self.rpc_duplicates,
             },
-            "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"),
-                          sort_keys=True)
 
     def render(self) -> str:
         lines = [
             f"federated chaos soak: seed={self.seed} "
             f"duration={self.duration_s:g}s regions={self.regions}",
-            f"schedule digest: {self.scenario_digest[:16]}... "
-            f"({sum(self.event_counts.values())} events)",
-            "events: " + ", ".join(
-                f"{kind}={n}"
-                for kind, n in sorted(self.event_counts.items())
-            ),
+            *self.render_schedule(),
             f"workload: {self.base_installed} base installed, "
             f"{self.live_submitted} live submitted -> outcomes "
             + ", ".join(
@@ -519,14 +497,7 @@ class FederationChaosReport:
             f"{self.rpc_timeouts} timeouts / "
             f"{self.rpc_duplicates} dups suppressed"
         )
-        lines.append(f"invariant probes run: {self.probes_run}")
-        if self.passed:
-            lines.append("PASS: zero invariant violations")
-        else:
-            lines.append(f"FAIL: {len(self.violations)} violation(s)")
-            for violation in self.violations[:20]:
-                lines.append(f"  {violation}")
-        return "\n".join(lines)
+        return "\n".join(lines + self.render_verdict())
 
 
 def run_federation_chaos(
@@ -547,59 +518,14 @@ def run_federation_chaos(
     engine.schedule(scenario)
     d.failover.start(config.duration_s)
     _start_live_workload(d, config)
-
-    checker = InvariantChecker(d.sim, interval_s=config.probe_interval_s)
-    checker.add("link_conservation", link_conservation(d.net))
-    checker.add("lease_safety", lease_safety(d.monitor))
-    probes = federation_probes(
-        d.active_coordinator,
-        in_flight=d.in_flight,
-        skip_regions=d.skip_regions,
-        nodes=d.coordinators,
-        net=d.net,
-        region_nodes=list(d.region_nodes.values()),
+    checker = engine.run(
+        [
+            ("link_conservation", link_conservation(d.net)),
+            ("lease_safety", lease_safety(d.monitor)),
+            *d.probes().items(),
+        ],
+        config.duration_s,
     )
-    for name, probe in probes.items():
-        checker.add(name, probe)
-    checker.start(config.duration_s)
-
-    d.net.run(until=config.duration_s)
-    d.net.run()  # drain in-flight deliveries, retries, and deadlines
-
-    # Final settle: the acting coordinator reconciles once more (all
-    # faults healed except the crashed primary, which stays down) and
-    # the regions re-drive whatever is still queued; then drain again.
-    active = d.active_coordinator()
-    if active is not None:
-        active.reconcile_all()
-    for node in d.region_nodes.values():
-        if node.needs_resync:
-            node._request_resync()
-        for name in node.queued():
-            node._forward(name)
-    d.net.run()
-
-    # Final probes: everything, now also quiescence, drained queues,
-    # and no lingering network traffic.
-    final_probes = federation_probes(
-        d.active_coordinator,
-        in_flight=d.in_flight,
-        skip_regions=d.skip_regions,
-        quiescent=True,
-        nodes=d.coordinators,
-        net=d.net,
-        region_nodes=list(d.region_nodes.values()),
-        final=True,
-    )
-    for name, probe in final_probes.items():
-        for detail in probe():
-            checker.violations.append(
-                Violation(d.sim.now, f"final:{name}", detail)
-            )
-    for detail in network_quiescence(d.net)():
-        checker.violations.append(
-            Violation(d.sim.now, "network_quiescence", detail)
-        )
 
     outcomes: dict[str, int] = {}
     for node in d.region_nodes.values():

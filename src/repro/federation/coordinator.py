@@ -251,6 +251,16 @@ class GlobalCoordinator:
     def is_cross(self, name: str) -> bool:
         return name in self._cross
 
+    def installed_chain(self, name: str) -> Chain:
+        """An installed chain with the demands the federation holds for
+        it (after a failed :meth:`resolve`, the chains it re-planned
+        before the failing one keep their new demands)."""
+        if name in self._cross:
+            return self._cross[name].chain
+        if name in self._intra:
+            return self.regionals[self._intra[name]].model.chains[name]
+        raise FederationError(f"chain {name!r} is not installed")
+
     def sweep(self) -> list[tuple[int, str]]:
         """Backstop GC: reclaim prepared-but-uncommitted segment residue
         abandoned by a crashed coordinator.  Call at quiescence."""

@@ -26,11 +26,12 @@ PR 4 durability recipe, specialized to the federation:
     :class:`~repro.federation.regional.BorderLedger` against what the
     store says should be reserved.
 
-- :class:`FederationFailover` -- the lease-based election loop
-  (mirroring :class:`~repro.resilience.failover.FailoverManager`):
-  while the active coordinator's host is up it renews the leader
-  lease; when it dies, the standby waits out the lease, acquires it,
-  and activates with recovery.
+- :class:`FederationFailover` -- the coordinator's side of the shared
+  :class:`~repro.resilience.lease.LeaderLease` elector (as
+  :class:`~repro.resilience.failover.FailoverManager` is the Global
+  Switchboard's): while the active coordinator's host is up its lease
+  is renewed; when it dies, the standby waits out the lease, acquires
+  it, and activates with recovery.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from typing import TYPE_CHECKING
 from repro.core.model import Chain
 from repro.federation.coordinator import CrossChainRecord
 from repro.federation.regional import SegmentSpec
-from repro.controller.replication import ReplicatedStore, ReplicationError
+from repro.controller.replication import ReplicatedStore
+from repro.resilience.lease import LeaderLease, LeaseMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.chaos.invariants import LeaseMonitor
     from repro.federation.nodes import CoordinatorNode
     from repro.obs.registry import MetricsRegistry
     from repro.simnet.network import SimNetwork
@@ -248,15 +249,12 @@ class FederationStore:
         return {int(r): links for r, links in doc.items()}
 
 
-class FederationFailover:
+class FederationFailover(LeaderLease):
     """Keeps exactly one coordinator node active, via the leader lease.
 
-    The federation analogue of
-    :class:`~repro.resilience.failover.FailoverManager`: candidates are
-    :class:`~repro.federation.nodes.CoordinatorNode` instances in
-    priority order; the tick renews the active node's lease while its
-    host is up, and elects + activates (with recovery) the first live
-    standby once the dead leader's lease expires.
+    Candidates are :class:`~repro.federation.nodes.CoordinatorNode`
+    instances in priority order, alive while not dead and their host is
+    up; an elected standby activates with recovery.
     """
 
     def __init__(
@@ -264,39 +262,39 @@ class FederationFailover:
         nodes: "dict[str, CoordinatorNode]",
         store: ReplicatedStore,
         net: "SimNetwork",
-        monitor: "LeaseMonitor | None" = None,
+        monitor: LeaseMonitor | None = None,
         lease_duration_s: float = 2.0,
         check_interval_s: float = 0.5,
         metrics: "MetricsRegistry | None" = None,
     ):
-        if not nodes:
-            raise ValueError("need at least one coordinator candidate")
+        super().__init__(
+            net.sim, store, nodes, lease_duration_s, check_interval_s,
+            monitor=monitor,
+        )
         self.nodes = dict(nodes)
-        self.order = list(nodes)
-        self.store = store
         self.net = net
-        self.monitor = monitor
-        self.lease_duration_s = lease_duration_s
-        self.check_interval_s = check_interval_s
         self.metrics = metrics
-        self.takeovers = 0
         self.takeover_times: list[float] = []
-        self.dead: set[str] = set()
-        self.active_name = self.order[0]
-        self.nodes[self.active_name].activate(recover=False)
+        self.active.activate(recover=False)
         if metrics is not None:
             metrics.counter("federation.failovers")
+
+    @property
+    def order(self) -> list[str]:
+        return self.candidates
 
     @property
     def active(self) -> "CoordinatorNode":
         return self.nodes[self.active_name]
 
-    def mark_dead(self, name: str) -> None:
-        self.dead.add(name)
-        self.nodes[name].deactivate()
+    def alive(self, name: str) -> bool:
+        return name not in self.dead and self.net.host_is_up(
+            self.nodes[name].host
+        )
 
-    def revive(self, name: str) -> None:
-        self.dead.discard(name)
+    def mark_dead(self, name: str) -> None:
+        super().mark_dead(name)
+        self.nodes[name].deactivate()
 
     def crash_active(self) -> str:
         """Chaos helper: kill the active coordinator process + host."""
@@ -306,67 +304,14 @@ class FederationFailover:
             self.net.crash_host(self.nodes[name].host)
         return name
 
-    # -- the election/renewal loop ----------------------------------------
-
-    def start(self, until: float) -> None:
-        self._tick(until)
-
-    def _tick(self, until: float) -> None:
-        self.check()
-        sim = self.net.sim
-        if sim.now + self.check_interval_s <= until:
-            sim.schedule(self.check_interval_s, self._tick, until)
-
-    def check(self) -> None:
-        now = self.net.sim.now
-        active = self.nodes[self.active_name]
-        if self.active_name not in self.dead and self.net.host_is_up(
-            active.host
-        ):
-            self._acquire(self.active_name, now)
-            return
-        if active.active:
-            active.deactivate()
-        standby = next(
-            (
-                name
-                for name in self.order
-                if name not in self.dead
-                and self.net.host_is_up(self.nodes[name].host)
-            ),
-            None,
-        )
-        if standby is None:
-            return  # nobody left to lead
-        if self._leader(now) is not None:
-            return  # the dead leader's lease has not expired yet
-        if self._acquire(standby, now):
-            self.take_over(standby)
-
-    def _acquire(self, owner: str, now: float) -> bool:
-        if self.monitor is not None:
-            return self.monitor.acquire(owner, now, self.lease_duration_s)
-        try:
-            return self.store.acquire_lease(owner, now, self.lease_duration_s)
-        except ReplicationError:
-            return False
-
-    def _leader(self, now: float) -> str | None:
-        if self.monitor is not None:
-            return self.monitor.leader(now)
-        try:
-            return self.store.leader(now)
-        except ReplicationError:
-            return None
-
     def take_over(self, name: str) -> None:
         """Activate a standby: restore checkpoints, settle the WAL,
         reconcile every region."""
-        self.takeovers += 1
+        self.active.deactivate()
+        super().take_over(name)
         self.takeover_times.append(self.net.sim.now)
         if self.metrics is not None:
             self.metrics.counter("federation.failovers").inc()
-        self.active_name = name
         self.nodes[name].activate(recover=True)
 
 

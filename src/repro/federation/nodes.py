@@ -753,8 +753,14 @@ class RegionalNode:
         self.regional.reset()
         self.needs_resync = True
         self._tries.clear()
+        self.resume()
+
+    def resume(self) -> None:
+        """Request the pending resync, if any, and re-forward every
+        queued cross-shard submission (the chaos soak's final settle
+        calls this once all faults have healed)."""
         self._request_resync()
-        for name in self.queue:
+        for name in self.queued():
             self._forward(name)
 
     def _request_resync(self) -> None:

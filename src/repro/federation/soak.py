@@ -7,10 +7,14 @@ with incremental re-plans) runs against a live
 :class:`FaultPolicy` injects regional prepare rejections and
 coordinator crashes mid-install.  After every operation the invariant
 probes from ``federation.invariants`` run -- border capacity safety,
-2PC all-or-nothing atomicity, stitching continuity, and (after each
-sweep) quiescence.  The soak is fully deterministic per seed and
-returns a machine-readable report, so the CI smoke step and
+2PC all-or-nothing atomicity, stitching continuity, and quiescence.
+The soak is fully deterministic per seed and returns a
+machine-readable report, so the CI smoke step and
 ``python -m repro federation --soak`` share one code path.
+
+The synchronous op layer (:class:`FederatedOps`, :func:`submit_chain`,
+:func:`install_base`) is shared with the scenario fuzzer's federated
+stack and with the base installs of the chaos deployment and the CLI.
 """
 
 from __future__ import annotations
@@ -72,6 +76,106 @@ class FaultPolicy:
         return planned if planned > 0 else None
 
 
+def submit_chain(
+    coordinator: GlobalCoordinator, chain: Chain
+) -> tuple[str, int]:
+    """Submit one chain, sweeping after a coordinator crash.  Returns
+    ``"installed"``, ``"rejected"`` or ``"crashed"`` and the number of
+    abandoned prepares the sweep released."""
+    try:
+        coordinator.submit(chain)
+    except CoordinatorCrash:
+        return "crashed", len(coordinator.sweep())
+    except FederationError:
+        return "rejected", 0
+    return "installed", 0
+
+
+def install_base(
+    coordinator: GlobalCoordinator, chains: list[Chain]
+) -> dict[str, int]:
+    """Install a base population in order; returns the tally of
+    :func:`submit_chain` outcomes plus ``"swept"``."""
+    tally = {"installed": 0, "rejected": 0, "crashed": 0, "swept": 0}
+    for chain in chains:
+        outcome, swept = submit_chain(coordinator, chain)
+        tally[outcome] += 1
+        tally["swept"] += swept
+    return tally
+
+
+class FederatedOps:
+    """Synchronous ops against a :class:`GlobalCoordinator`, probed
+    after each by the caller.  ``detail_key`` names the violation field
+    that holds a probe's message."""
+
+    def __init__(
+        self,
+        model: NetworkModel,
+        coordinator: GlobalCoordinator,
+        detail_key: str,
+        objective: LpObjective = LpObjective.MAX_THROUGHPUT,
+    ):
+        self.model = model
+        self.coordinator = coordinator
+        self.detail_key = detail_key
+        self.objective = objective
+        self.violations: list[dict] = []
+        #: Only consulted while still current: a submit/remove
+        #: invalidates its RoutingSolutions (they hold the regional
+        #: models by reference), so mutation probes fall back to the
+        #: ledger-only capacity check.
+        self.last_plan = None
+        self._probes = federation_probes(
+            lambda: coordinator,
+            plan_of=lambda: self.last_plan,
+            quiescent=True,
+        )
+
+    def submit(self, chain: Chain) -> tuple[str, int]:
+        self.last_plan = None
+        return submit_chain(self.coordinator, chain)
+
+    def remove(self, name: str) -> None:
+        self.coordinator.remove(name)
+        self.last_plan = None
+
+    def redemand(self, factors: dict[str, float]) -> bool:
+        """Scale demands and re-plan incrementally.  When a border cannot
+        fit them, returns ``False`` and reverts the model to the demands
+        the coordinator still holds (a failed multi-chain ``resolve``
+        keeps the chains it re-planned before the failing one)."""
+        for name, factor in factors.items():
+            scaled = self.model.chains[name].scaled(factor)
+            self.model.remove_chain(name)
+            self.model.add_chain(scaled)
+        self.last_plan = None
+        try:
+            self.last_plan = self.coordinator.resolve(
+                self.model, list(factors), self.objective
+            )
+        except FederationError:
+            for name in factors:
+                self.model.remove_chain(name)
+                self.model.add_chain(self.coordinator.installed_chain(name))
+            return False
+        return True
+
+    def probe(self, op: str) -> None:
+        for invariant, check in self._probes.items():
+            for problem in check():
+                self.violations.append(
+                    {"op": op, "invariant": invariant,
+                     self.detail_key: problem}
+                )
+
+    def finish(self):
+        """Plan every region and probe the final plan."""
+        self.last_plan = self.coordinator.plan_all(self.objective)
+        self.probe("final_plan")
+        return self.last_plan
+
+
 def run_soak(
     model: NetworkModel,
     coordinator: GlobalCoordinator,
@@ -98,86 +202,36 @@ def run_soak(
         "demand_change": 0,
         "resolve": 0,
     }
-    violations: list[dict] = []
-    last_plan = None
-
-    # ``last_plan`` is only consulted while still current: a
-    # submit/remove invalidates its RoutingSolutions (they hold the
-    # regional models by reference), so mutation probes fall back to
-    # the ledger-only capacity check.
-    probes = federation_probes(
-        lambda: coordinator,
-        plan_of=lambda: last_plan,
-        quiescent=True,
-    )
-
-    def probe(op: str, quiescent: bool) -> None:
-        for invariant, check in probes.items():
-            if invariant == "fed_quiescence" and not quiescent:
-                continue
-            for problem in check():
-                violations.append(
-                    {"op": op, "invariant": invariant, "problem": problem}
-                )
+    layer = FederatedOps(model, coordinator, "problem", objective)
 
     for step in range(ops):
         roll = rng.random()
         if roll < 0.45 and pending:
             chain = pending.pop(rng.randrange(len(pending)))
             counts["submit"] += 1
-            try:
-                coordinator.submit(chain)
-            except CoordinatorCrash:
-                counts["crash"] += 1
-                # The "restarted" coordinator only runs its sweep; the
-                # abandoned install is simply gone.
-                counts["sweep_released"] += len(coordinator.sweep())
-            except FederationError:
-                counts["submit_rejected"] += 1
-            last_plan = None
-            probe("submit", quiescent=True)
+            # A crashed coordinator "restarts" and only runs its sweep;
+            # the abandoned install is simply gone.
+            outcome, swept = layer.submit(chain)
+            counts["crash"] += outcome == "crashed"
+            counts["submit_rejected"] += outcome == "rejected"
+            counts["sweep_released"] += swept
+            layer.probe("submit")
         elif roll < 0.65 and coordinator.installed():
-            name = rng.choice(coordinator.installed())
-            coordinator.remove(name)
+            layer.remove(rng.choice(coordinator.installed()))
             counts["remove"] += 1
-            last_plan = None
-            probe("remove", quiescent=True)
+            layer.probe("remove")
         elif coordinator.installed():
             names = rng.sample(
                 coordinator.installed(),
                 k=min(3, len(coordinator.installed())),
             )
-            for name in names:
-                chain = model.chains[name]
-                factor = rng.uniform(0.5, 1.5)
-                scaled = chain.scaled(factor)
-                model.remove_chain(name)
-                model.add_chain(scaled)
-                counts["demand_change"] += 1
-            last_plan = None
-            try:
-                last_plan = coordinator.resolve(model, names, objective)
+            factors = {name: rng.uniform(0.5, 1.5) for name in names}
+            counts["demand_change"] += len(factors)
+            if layer.redemand(factors):
                 counts["resolve"] += 1
-            except FederationError:
-                # A border cannot fit the scaled demand: revert.
-                for name in names:
-                    original = None
-                    if name in coordinator._cross:
-                        original = coordinator._cross[name].chain
-                    elif name in coordinator._intra:
-                        region = coordinator._intra[name]
-                        original = coordinator.regionals[
-                            region
-                        ].model.chains.get(name)
-                    if original is not None:
-                        model.remove_chain(name)
-                        model.add_chain(original)
-            probe("resolve", quiescent=True)
+            layer.probe("resolve")
 
-    final_plan = coordinator.plan_all(objective)
-    last_plan = final_plan
-    probe("final_plan", quiescent=True)
-
+    final_plan = layer.finish()
     stats = coordinator.stats()
     return {
         "ops": ops,
@@ -187,9 +241,15 @@ def run_soak(
         "final_status": final_plan.status,
         "final_carried": round(final_plan.carried_demand, 6),
         "final_offered": round(final_plan.offered_demand, 6),
-        "violations": violations,
-        "ok": not violations and final_plan.ok,
+        "violations": layer.violations,
+        "ok": not layer.violations and final_plan.ok,
     }
 
 
-__all__ = ["FaultPolicy", "run_soak"]
+__all__ = [
+    "FaultPolicy",
+    "FederatedOps",
+    "install_base",
+    "run_soak",
+    "submit_chain",
+]

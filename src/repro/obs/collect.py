@@ -27,8 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.protocol import BusDrivenInstaller
     from repro.dataplane.forwarder import DataPlane
     from repro.federation.coordinator import GlobalCoordinator
-    from repro.resilience.failover import FailoverManager
-    from repro.resilience.sweeper import ReconciliationSweeper
     from repro.simnet.network import SimNetwork
 
 
@@ -65,11 +63,10 @@ def collect_bus(
 def collect_resilience(
     registry: MetricsRegistry,
     installer: "BusDrivenInstaller",
-    failover: "FailoverManager | None" = None,
-    sweeper: "ReconciliationSweeper | None" = None,
 ) -> None:
-    """Control-plane reliability totals: RPC delivery effort, install
-    outcomes, and (when running) failover/sweeper activity."""
+    """Control-plane reliability totals: RPC delivery effort and install
+    outcomes.  Failover and sweeper activity is counted live
+    (``failover.takeovers``, ``sweeper.*``)."""
     rpc = installer.rpc
     registry.gauge("rpc.sent_total").set(rpc.sent)
     registry.gauge("rpc.acked_total").set(rpc.acked)
@@ -86,15 +83,6 @@ def collect_resilience(
     registry.gauge("resilience.inflight_installs").set(
         len(installer._pending)
     )
-    if failover is not None:
-        registry.gauge("failover.takeovers_total").set(failover.takeovers)
-    if sweeper is not None:
-        registry.gauge("sweeper.stale_reservations_total").set(
-            sweeper.stale_reservations_released
-        )
-        registry.gauge("sweeper.stalled_installs_total").set(
-            sweeper.stalled_installs_aborted
-        )
 
 
 def collect_bench(

@@ -16,10 +16,13 @@ an end-to-end protocol rather than a fair-weather script:
   that garbage-collects stalled installs, re-syncs the router's
   capacity view against what VNF controllers actually report, and
   exports the in-flight-install gauge;
+- :mod:`repro.resilience.lease` -- the one leader-lease elector
+  (:class:`LeaderLease`) over the
+  :class:`~repro.controller.replication.ReplicatedStore` lease, with the
+  :class:`LeaseMonitor` that records every grant;
 - :mod:`repro.resilience.failover` -- a standby Global Switchboard that
-  takes the :class:`~repro.controller.replication.ReplicatedStore`
-  lease when the primary dies, restores from checkpoints, and resumes
-  or aborts in-flight installs.
+  takes the lease when the primary dies, restores from checkpoints, and
+  resumes or aborts in-flight installs.
 
 Everything runs on the simulated clock with seeded randomness, so a
 chaos soak with control faults replays byte-identically from one seed.
@@ -27,6 +30,7 @@ chaos soak with control faults replays byte-identically from one seed.
 
 from repro.resilience.deadline import DeadlineManager, ResilienceConfig
 from repro.resilience.failover import FailoverManager
+from repro.resilience.lease import LeaderLease, LeaseGrant, LeaseMonitor
 from repro.resilience.rpc import (
     BackoffPolicy,
     RpcConfig,
@@ -41,6 +45,9 @@ __all__ = [
     "BackoffPolicy",
     "DeadlineManager",
     "FailoverManager",
+    "LeaderLease",
+    "LeaseGrant",
+    "LeaseMonitor",
     "ReconciliationSweeper",
     "ResilienceConfig",
     "RpcConfig",

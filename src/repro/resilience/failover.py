@@ -7,8 +7,8 @@ controller *candidates* (by convention ``gs-primary``/``gs-standby``,
 both fronting the same ``ctrl.gs`` role host):
 
 - while the active candidate's host is up, the tick simply **renews the
-  leader lease** (through the chaos :class:`LeaseMonitor` when given
-  one, so lease-safety stays checkable);
+  leader lease** (the :class:`~repro.resilience.lease.LeaderLease`
+  elector, so lease safety stays checkable);
 - when the active candidate dies (a chaos ``gs_crash`` marks it dead
   and crashes the host), the standby waits for the old lease to
   **expire**, acquires it, and :meth:`takes over <take_over>`:
@@ -22,7 +22,9 @@ both fronting the same ``ctrl.gs`` role host):
   published chains, tearing down chains that died mid-2PC.
 
 Everything runs on the simulated clock; the tick self-terminates at its
-horizon so a full event-queue drain still finishes.
+horizon so a full event-queue drain still finishes.  The election itself
+is the shared :class:`~repro.resilience.lease.LeaderLease`; this class
+adds only the controller's liveness and the takeover reconciliation.
 """
 
 from __future__ import annotations
@@ -35,101 +37,54 @@ from repro.controller.replication import (
     pending_install_markers,
     restore_installations,
 )
+from repro.resilience.lease import LeaderLease, LeaseMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.chaos.invariants import LeaseMonitor
     from repro.controller.protocol import BusDrivenInstaller
     from repro.obs.registry import MetricsRegistry
 
 
-class FailoverManager:
+class FailoverManager(LeaderLease):
     """Keeps exactly one controller candidate driving the installer."""
 
     def __init__(
         self,
         installer: "BusDrivenInstaller",
         store: ReplicatedStore,
-        monitor: "LeaseMonitor | None" = None,
+        monitor: LeaseMonitor | None = None,
         candidates: tuple[str, ...] = ("gs-primary", "gs-standby"),
         lease_duration_s: float = 2.0,
         check_interval_s: float = 0.5,
         metrics: "MetricsRegistry | None" = None,
     ):
+        super().__init__(
+            installer.sim, store, candidates, lease_duration_s,
+            check_interval_s, monitor=monitor,
+        )
         self.installer = installer
-        self.store = store
-        self.monitor = monitor
-        self.candidates = list(candidates)
-        self.active = self.candidates[0]
-        self.lease_duration_s = lease_duration_s
-        self.check_interval_s = check_interval_s
         self.metrics = metrics
-        self.takeovers = 0
-        #: Candidates whose controller process has died (set by the
-        #: chaos ``gs_crash`` event); they stop renewing immediately.
-        self.dead: set[str] = set()
         if metrics is not None:
             metrics.counter("failover.takeovers")
 
-    def mark_dead(self, candidate: str) -> None:
-        self.dead.add(candidate)
+    @property
+    def active(self) -> str:
+        return self.active_name
 
-    def revive(self, candidate: str) -> None:
-        self.dead.discard(candidate)
-
-    # -- the election/renewal loop ----------------------------------------
-
-    def start(self, until: float) -> None:
-        """Run the renewal/election tick until the sim-clock horizon."""
-        self._tick(until)
-
-    def _tick(self, until: float) -> None:
-        self.check()
-        sim = self.installer.sim
-        if sim.now + self.check_interval_s <= until:
-            sim.schedule(self.check_interval_s, self._tick, until)
-
-    def check(self) -> None:
-        """One election step: renew, or fail over if the active died."""
-        installer = self.installer
-        now = installer.sim.now
-        if (
-            self.active not in self.dead
-            and installer.network.host_is_up(installer.gs_host)
-        ):
-            self._acquire(self.active, now)
-            return
-        standby = next(
-            (c for c in self.candidates if c not in self.dead), None
+    def alive(self, candidate: str) -> bool:
+        """Every candidate fronts the one controller host: its crash
+        ends the active candidate's term, while a standby restarts it
+        on takeover."""
+        network, host = self.installer.network, self.installer.gs_host
+        return candidate not in self.dead and (
+            candidate != self.active_name or network.host_is_up(host)
         )
-        if standby is None:
-            return  # nobody left to lead
-        if self._leader(now) is not None:
-            return  # the dead leader's lease has not expired yet
-        if self._acquire(standby, now):
-            self.take_over(standby)
-
-    def _acquire(self, owner: str, now: float) -> bool:
-        if self.monitor is not None:
-            return self.monitor.acquire(owner, now, self.lease_duration_s)
-        try:
-            return self.store.acquire_lease(owner, now, self.lease_duration_s)
-        except ReplicationError:
-            return False
-
-    def _leader(self, now: float) -> str | None:
-        if self.monitor is not None:
-            return self.monitor.leader(now)
-        try:
-            return self.store.leader(now)
-        except ReplicationError:
-            return None
 
     # -- takeover ---------------------------------------------------------
 
     def take_over(self, owner: str) -> None:
         """Make ``owner`` the active controller and reconcile all
         control state against the durable store."""
-        self.takeovers += 1
+        super().take_over(owner)
         if self.metrics is not None:
             self.metrics.counter("failover.takeovers").inc()
         installer = self.installer
@@ -199,5 +154,3 @@ class FailoverManager:
                     gs.labels.release(name)
                     installer._remove_checkpoint(name)
             installer._clear_marker(name)
-
-        self.active = owner

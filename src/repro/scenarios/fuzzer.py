@@ -47,6 +47,9 @@ from repro.scenarios.schedule import (
 PLANT_THRESHOLD = 2.5
 _PLANT_FACTOR = 3.0
 
+#: Most violation-predicate runs one delta-debugging pass may spend.
+MAX_MINIMIZE_TESTS = 80
+
 #: Stacks the fuzzer knows how to drive.
 STACKS = ("mono", "federation")
 
@@ -65,7 +68,6 @@ class FuzzConfig:
     duration_s: float = 16.0
     stacks: tuple[str, ...] = STACKS
     minimize: bool = True
-    max_minimize_tests: int = 80
     #: Self-test mode: plant a violation the probes must detect and the
     #: minimizer must isolate (run passes iff that happens).
     plant: bool = False
@@ -190,8 +192,7 @@ def build_planted_case(config: FuzzConfig, index: int) -> FuzzCase:
 
 def _draw_fault_scenario(rng: random.Random, duration_s: float,
                          quiet: bool = False):
-    from repro.bus.bus import proxy_name
-    from repro.chaos.runner import SITES
+    from repro.chaos.runner import SITES, WAN_PAIRS
     from repro.chaos.scenario import ScenarioConfig, generate_scenario
 
     if quiet:
@@ -211,12 +212,8 @@ def _draw_fault_scenario(rng: random.Random, duration_s: float,
             leader_kill=rng.random() < 0.5,
             partition=rng.random() < 0.25,
         )
-    wan_pairs = [
-        (f"wan.{a}", proxy_name(b))
-        for a in SITES for b in SITES if a != b
-    ]
     return generate_scenario(
-        rng.randrange(1_000_000), SITES, wan_pairs, scenario_config
+        rng.randrange(1_000_000), SITES, WAN_PAIRS, scenario_config
     )
 
 
@@ -235,6 +232,14 @@ def _planted_probes(engine) -> dict:
         return []
 
     return {"planted_redemand_surge": probe}
+
+
+def _crashed(stack: str, exc: Exception, **where) -> StackResult:
+    """An exception that escaped a stack, recorded as a violation."""
+    return StackResult(stack=stack, violations=[{
+        **where, "invariant": "crash",
+        "detail": f"{type(exc).__name__}: {exc}",
+    }])
 
 
 def run_case_mono(
@@ -256,27 +261,23 @@ def run_case_mono(
             workload_probes=_planted_probes if case.planted else None,
         )
     except Exception as exc:  # an escaped exception IS a finding
-        return StackResult(
-            stack="mono",
-            violations=[{
-                "at": -1.0,
-                "invariant": "crash",
-                "detail": f"{type(exc).__name__}: {exc}",
-            }],
-        )
+        return _crashed("mono", exc, at=-1.0)
     return StackResult(
         stack="mono",
-        violations=[
-            {"at": round(v.at, 9), "invariant": v.invariant,
-             "detail": v.detail}
-            for v in soak.violations
-        ],
+        violations=soak.scenario_doc()["violations"],
         counts={
             **soak.workload_counts,
             "workload_ops_applied": soak.workload_ops_applied,
             "fault_events_applied": len(soak.events_applied),
         },
     )
+
+
+#: Federated-stack count for each create outcome.
+_CREATE_COUNTS = {
+    "installed": "created", "rejected": "create_rejected",
+    "crashed": "crashes",
+}
 
 
 def run_case_federation(
@@ -290,14 +291,9 @@ def run_case_federation(
     is the seeded reject/crash policy instead, and both are covered by
     the case parameters so a replay is exact.
     """
-    from repro.core.lp import LpObjective
-    from repro.federation.coordinator import (
-        CoordinatorCrash,
-        GlobalCoordinator,
-    )
-    from repro.federation.invariants import federation_probes
-    from repro.federation.shard import FederationError
-    from repro.federation.soak import FaultPolicy
+    from repro.core.model import Chain
+    from repro.federation.coordinator import GlobalCoordinator
+    from repro.federation.soak import FaultPolicy, FederatedOps, install_base
     from repro.topology.pops import PopGridConfig, generate_federation_workload
 
     try:
@@ -327,39 +323,17 @@ def run_case_federation(
         base_chains = sorted(model.chains.values(), key=lambda c: c.name)
         for chain in base_chains:
             model.remove_chain(chain.name)
+        installed = install_base(coordinator, base_chains)
         counts = {
             "created": 0, "create_rejected": 0, "removed": 0,
             "remove_skipped": 0, "redemanded": 0, "redemand_skipped": 0,
-            "crashes": 0, "swept": 0,
+            "crashes": installed["crashed"], "swept": installed["swept"],
         }
-        for chain in base_chains:
-            try:
-                coordinator.submit(chain)
-            except CoordinatorCrash:
-                counts["crashes"] += 1
-                counts["swept"] += len(coordinator.sweep())
-            except FederationError:
-                pass
 
         base = sorted(coordinator.installed())
         nodes = list(model.nodes)
         vnf_names = sorted(model.vnfs)
-        violations: list[dict] = []
-        last_plan = None
-        probes = federation_probes(
-            lambda: coordinator,
-            plan_of=lambda: last_plan,
-            quiescent=True,
-        )
-
-        def probe(op_label: str) -> None:
-            for invariant, check in probes.items():
-                for problem in check():
-                    violations.append({
-                        "op": op_label,
-                        "invariant": invariant,
-                        "detail": problem,
-                    })
+        layer = FederatedOps(model, coordinator, "detail")
 
         def resolve_chain_id(chain_id: str) -> str:
             # Logical soak ids ("chain<i>") map onto the installed
@@ -387,60 +361,32 @@ def run_case_federation(
                     for j in range(stages)
                 ]
                 vnfs = list(dict.fromkeys(vnfs))
-                from repro.core.model import Chain
-
                 chain = Chain(name, ingress, egress, vnfs,
                               op.value, op.value * 0.25)
-                try:
-                    coordinator.submit(chain)
-                    counts["created"] += 1
-                except CoordinatorCrash:
-                    counts["crashes"] += 1
-                    counts["swept"] += len(coordinator.sweep())
-                except FederationError:
-                    counts["create_rejected"] += 1
-                last_plan = None
+                outcome, swept = layer.submit(chain)
+                counts[_CREATE_COUNTS[outcome]] += 1
+                counts["swept"] += swept
             elif op.op == "remove":
                 if name not in set(coordinator.installed()):
                     counts["remove_skipped"] += 1
                     continue
-                coordinator.remove(name)
+                layer.remove(name)
                 counts["removed"] += 1
-                last_plan = None
             elif op.op == "redemand":
                 if (name not in set(coordinator.installed())
                         or name not in model.chains):
                     counts["redemand_skipped"] += 1
                     continue
-                original = model.chains[name]
-                model.remove_chain(name)
-                model.add_chain(original.scaled(op.value))
-                last_plan = None
-                try:
-                    last_plan = coordinator.resolve(
-                        model, [name], LpObjective.MAX_THROUGHPUT
-                    )
-                    counts["redemanded"] += 1
-                except FederationError:
-                    # The scaled demand does not fit a border: revert.
-                    model.remove_chain(name)
-                    model.add_chain(original)
-                    counts["redemand_skipped"] += 1
-            probe(label)
+                # A scaled demand that does not fit a border is reverted.
+                ok = layer.redemand({name: op.value})
+                counts["redemanded" if ok else "redemand_skipped"] += 1
+            layer.probe(label)
 
-        last_plan = coordinator.plan_all(LpObjective.MAX_THROUGHPUT)
-        probe("final_plan")
+        layer.finish()
     except Exception as exc:  # an escaped exception IS a finding
-        return StackResult(
-            stack="federation",
-            violations=[{
-                "op": "crash",
-                "invariant": "crash",
-                "detail": f"{type(exc).__name__}: {exc}",
-            }],
-        )
+        return _crashed("federation", exc, op="crash")
     return StackResult(
-        stack="federation", violations=violations, counts=counts
+        stack="federation", violations=layer.violations, counts=counts
     )
 
 
@@ -473,13 +419,13 @@ def run_case(case: FuzzCase, config: FuzzConfig) -> CaseResult:
     failing = next((s for s in result.stacks if not s.passed), None)
     if failing is not None and config.minimize:
         result.minimized = minimize_case(
-            case, failing.stack, max_tests=config.max_minimize_tests
+            case, failing.stack, max_tests=MAX_MINIMIZE_TESTS
         )
     return result
 
 
 def minimize_case(
-    case: FuzzCase, stack: str, max_tests: int = 80
+    case: FuzzCase, stack: str, max_tests: int = MAX_MINIMIZE_TESTS
 ) -> dict:
     """Delta-debug the case's composed schedule on the failing stack."""
     runner = _STACK_RUNNERS[stack]
