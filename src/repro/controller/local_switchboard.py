@@ -5,9 +5,10 @@ Responsibilities reproduced here:
 - horizontal scaling of forwarders at the site and the assignment of
   VNF instances to forwarders (round-robin, keeping a VNF instance in
   the same L2 domain as its forwarder);
-- compiling a chain's wide-area route fractions plus the published
-  instance weights into the three weighted load-balancing rule sets of
-  Section 5.2, and installing them at the site's forwarders;
+- publishing forwarder weights (the sum of the attached instances'
+  weights) and installing the ingress-side rule at the site's edge
+  forwarder; the Global Switchboard compiles the per-forwarder rule sets
+  of Section 5.2 (``GlobalSwitchboard._install_rules``);
 - the on-demand edge-site extension of Section 6: choosing the nearest
   existing wide-area route for traffic appearing at a new edge site.
 """
@@ -134,34 +135,6 @@ class LocalSwitchboard:
         }
 
     # -- rule compilation ------------------------------------------------------
-
-    def install_chain_rules(
-        self,
-        chain_label: int,
-        egress_site: str,
-        local_instances: Mapping[str, float],
-        next_hops: Mapping[str, float],
-        prev_hops: Mapping[str, float],
-    ) -> None:
-        """Install the compiled rule at every forwarder of this site.
-
-        ``local_instances`` / ``next_hops`` / ``prev_hops`` already carry
-        hierarchical weights (site fraction x instance weight); this
-        method only materializes them into the forwarders.
-        """
-        for fwd in self.forwarders:
-            rule = LoadBalancingRule(
-                local_instances=WeightedChoice(
-                    {
-                        name: weight
-                        for name, weight in local_instances.items()
-                        if name in fwd.attached
-                    }
-                ),
-                next_forwarders=WeightedChoice(dict(next_hops)),
-                prev_forwarders=WeightedChoice(dict(prev_hops)),
-            )
-            fwd.install_rule(chain_label, egress_site, rule)
 
     def install_edge_rule(
         self,

@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
-from repro.core import highs as highs_backend
-from repro.core.columns import ragged_gather
+from repro.core import lp
 from repro.core.model import CloudSite, NetworkModel, VNF
 from repro.core.routes import RoutingSolution
 
@@ -64,136 +62,59 @@ class CloudCapacityPlan:
 
 
 # ---------------------------------------------------------------------------
-# Columnar assembly with structure caching (mirrors repro.core.lp)
+# Columnar assembly on the SB-LP blocks (repro.core.lp)
 # ---------------------------------------------------------------------------
 
-_KIND_CONST = 0
-_KIND_TOTAL = 1  # entry scales with (w_cz + v_cz)
-_KIND_FWD = 2  # entry scales with w_cz
-_KIND_REV = 3  # entry scales with v_cz
 
-
-@dataclass
-class _CapacityStructure:
+class _CapacityStructure(lp._MatrixStructure):
     """Cloud-capacity LP structure that survives capacity/demand changes.
 
     Everything numeric that a budget sweep changes -- site capacities,
-    per-site VNF capacities, headroom, the budget itself, and demand
-    magnitudes -- is refreshed into the data vector and RHS per call;
-    the sparsity pattern and row order are fixed.
+    per-site VNF capacities, the budget itself, and demand magnitudes --
+    is refreshed into the data vector and RHS per call; the sparsity
+    pattern and row order are fixed.  Link bandwidths, backgrounds and
+    the MLU budget are part of ``capacity_structure_digest``, so the
+    link-row bounds are fixed with the structure.
     """
 
-    n_flow: int
-    n_total: int
     alpha_index: int
-    site_names: list[str]  # dict order; site var i = n_flow + i
-    # UB block (COO); demand-scaled entries carry a stage row id.
-    ub_rows: np.ndarray
-    ub_cols: np.ndarray
-    ub_base: np.ndarray
-    ub_kind: np.ndarray
-    ub_stage: np.ndarray
-    n_ub: int
-    # Relief entries on the (VNF, site) rows: value -cap/site_cap is
-    # recomputed from the current model each call.
-    relief_rows: np.ndarray
-    relief_cols: np.ndarray
-    relief_pairs: list[tuple[str, str]]  # (vnf name, site name)
-    # EQ block: fully demand-independent, rhs all zero.
-    eq_rows: np.ndarray
-    eq_cols: np.ndarray
-    eq_data: np.ndarray
-    n_eq: int
-    # RHS refresh descriptors (row -> where the bound comes from).
-    site_rows: list[tuple[int, str]]
-    vnf_rows: list[tuple[int, str, str]]
+    site_rows: np.ndarray  # per-site rows; bound = capacity of ``sites``
+    sites: np.ndarray
+    vnf_rows: np.ndarray  # (VNF, site) rows; bound = capacity of the pair
+    pair_vnf: np.ndarray
+    pair_site: np.ndarray
+    # Relief entries -cap/site_cap on the (VNF, site) rows of sites with
+    # positive capacity: the last UB entries, rewritten on every call.
+    relief: np.ndarray
+    relief_entries: slice
     budget_row: int
-    link_rows: list[tuple[int, str]]
-    # Demand refresh table and extraction arrays.
-    stage_key: list[tuple[str, int]]  # (chain name, z) per stage row
-    var_stage: np.ndarray
-    stage_chain_name: list[str]
-    stage_z: np.ndarray
-    var_src_name: np.ndarray  # object arrays of endpoint names
-    var_dst_name: np.ndarray
-    seed_columns: np.ndarray
-    cg_solver: object | None = None
-
-    def refreshed_stage_demands(
-        self, model: NetworkModel
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        fwd = np.array(
-            [model.chains[c].forward_traffic[z - 1] for c, z in self.stage_key]
-        )
-        rev = np.array(
-            [model.chains[c].reverse_traffic[z - 1] for c, z in self.stage_key]
-        )
-        return fwd, rev, fwd + rev
 
     def refreshed_ub(
         self, model: NetworkModel, budget: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, data, b_ub) under current capacities/demands."""
-        fwd, rev, total = self.refreshed_stage_demands(model)
-        data = self.ub_base.copy()
-        for kind, scale in (
-            (_KIND_TOTAL, total),
-            (_KIND_FWD, fwd),
-            (_KIND_REV, rev),
-        ):
-            idx = np.flatnonzero(self.ub_kind == kind)
-            if idx.size:
-                data[idx] *= scale[self.ub_stage[idx]]
-        relief = np.array(
-            [
-                -model.vnfs[v].site_capacity.get(s, 0.0)
-                / model.sites[s].capacity
-                for v, s in self.relief_pairs
-            ]
+        sub = model.substrate_columns()
+        caps = lp._pair_caps(sub, self.pair_vnf, self.pair_site)
+        data = self.refreshed_ub_data(model.chain_columns())
+        data[self.relief_entries] = (
+            -caps[self.relief] / sub.site_capacity[self.pair_site[self.relief]]
         )
-        rows = np.concatenate([self.ub_rows, self.relief_rows])
-        cols = np.concatenate([self.ub_cols, self.relief_cols])
-        data = np.concatenate([data, relief])
-
-        b_ub = np.zeros(self.n_ub)
-        for row, site in self.site_rows:
-            b_ub[row] = model.sites[site].capacity
-        for row, vnf, site in self.vnf_rows:
-            b_ub[row] = model.vnfs[vnf].site_capacity.get(site, 0.0)
+        b_ub = self.b_ub.copy()
+        b_ub[self.site_rows] = sub.site_capacity[self.sites]
+        b_ub[self.vnf_rows] = caps
         b_ub[self.budget_row] = budget
-        for row, link_name in self.link_rows:
-            link = model.links[link_name]
-            b_ub[row] = max(
-                0.0, model.mlu_limit * link.bandwidth - link.background
-            )
-        return rows, cols, data, b_ub
+        return self.ub_rows, self.ub_cols, data, b_ub
 
 
-_CAPACITY_CACHE: "OrderedDict[str, _CapacityStructure]" = OrderedDict()
-_CAPACITY_CACHE_LIMIT = 16
-_CAPACITY_REBUILDS = 0
-_CAPACITY_REUSE_HITS = 0
+_CAPACITY_CACHE = lp._StructureCache(16, "capacity")
 
 
 def capacity_cache_stats() -> dict[str, int]:
-    return {
-        "matrix_reuse_hits": _CAPACITY_REUSE_HITS,
-        "matrix_rebuilds": _CAPACITY_REBUILDS,
-        "cached_structures": len(_CAPACITY_CACHE),
-    }
+    return _CAPACITY_CACHE.stats()
 
 
 def clear_capacity_cache() -> None:
-    global _CAPACITY_REBUILDS, _CAPACITY_REUSE_HITS
     _CAPACITY_CACHE.clear()
-    _CAPACITY_REBUILDS = 0
-    _CAPACITY_REUSE_HITS = 0
-
-
-def _inverse_permutation(rank: np.ndarray) -> np.ndarray:
-    out = np.empty(len(rank), dtype=np.int64)
-    out[rank] = np.arange(len(rank), dtype=np.int64)
-    return out
 
 
 def _build_capacity_structure(model: NetworkModel) -> _CapacityStructure:
@@ -205,237 +126,69 @@ def _build_capacity_structure(model: NetworkModel) -> _CapacityStructure:
     (VNF, site) rows sorted by name, the budget row, then link rows
     sorted by name.
     """
-    sub = model.substrate_columns()
-    ch = model.chain_columns()
-    vc = model.variable_columns()
-    n_flow = vc.n_vars
-    n_chains = len(ch.chain_names)
-    n_nodes = sub.n_nodes
+    flow = lp._FlowRows(model)
+    sub = flow.sub
+    n_flow = flow.n_flow
+    n_chains = len(flow.ch.chain_names)
     n_sites = len(sub.site_names)
     alpha_index = n_flow + n_sites
-    n_total = alpha_index + 1
+    ub, eq = lp._Coo(), lp._Coo()
 
-    var_stage = vc.var_stage
-    var_chain = ch.stage_chain[var_stage]
-    var_z = ch.stage_z[var_stage]
-    var_dst_vnf = ch.stage_dst_vnf[var_stage]
-    var_src_vnf = ch.stage_src_vnf[var_stage]
+    eq.add(flow.cover_rows, flow.stage1_vars, np.ones(flow.stage1_vars.size))
+    eq.add(np.arange(n_chains), np.full(n_chains, alpha_index), -np.ones(n_chains))
+    eq.close(np.zeros(n_chains))
+    eq.add(flow.cons_rows, flow.cmp_vars, flow.cons_data)
+    eq.close(np.zeros(flow.n_cons))
 
-    ub_rows: list[np.ndarray] = []
-    ub_cols: list[np.ndarray] = []
-    ub_base: list[np.ndarray] = []
-    ub_kind: list[np.ndarray] = []
-    ub_stage: list[np.ndarray] = []
-    n_ub = 0
-
-    # -- equality block: coverage (with -alpha) then conservation --------
-    stage1_vars = np.flatnonzero(var_z == 1)
-    eq_rows = [var_chain[stage1_vars], np.arange(n_chains, dtype=np.int64)]
-    eq_cols = [stage1_vars, np.full(n_chains, alpha_index, dtype=np.int64)]
-    eq_data = [np.ones(stage1_vars.size), -np.ones(n_chains)]
-    n_eq = n_chains
-
-    stage_has_cons = ch.stage_dst_vnf >= 0
-    cons_per_stage = np.where(stage_has_cons, ch.dst_len, 0)
-    cons_start = n_eq + np.cumsum(cons_per_stage) - cons_per_stage
-    n_cons = int(cons_per_stage.sum())
-    incoming = np.flatnonzero(var_dst_vnf >= 0)
-    outgoing = np.flatnonzero(var_src_vnf >= 0)
-    eq_rows.append(cons_start[var_stage[incoming]] + vc.var_dst_pos[incoming])
-    eq_cols.append(incoming)
-    eq_data.append(np.ones(incoming.size))
-    eq_rows.append(cons_start[var_stage[outgoing] - 1] + vc.var_src_pos[outgoing])
-    eq_cols.append(outgoing)
-    eq_data.append(-np.ones(outgoing.size))
-    n_eq += n_cons
-
-    # -- compute rows ----------------------------------------------------
-    cmp_vars = np.concatenate([incoming, outgoing])
-    cmp_vnf = np.concatenate([var_dst_vnf[incoming], var_src_vnf[outgoing]])
-    cmp_site = (
-        np.concatenate([vc.var_dst_ep[incoming], vc.var_src_ep[outgoing]])
-        - n_nodes
-    )
-    site_rows: list[tuple[int, str]] = []
-    vnf_rows: list[tuple[int, str, str]] = []
-    relief_rows: list[int] = []
-    relief_cols: list[int] = []
-    relief_pairs: list[tuple[str, str]] = []
-    if cmp_vars.size:
-        site_order = _inverse_permutation(sub.site_rank)
-        vnf_order = _inverse_permutation(sub.vnf_rank)
-
-        # Per-site rows first (sorted by site name), relief -1.0 on a_s.
-        uniq_sites, site_inverse = np.unique(
-            sub.site_rank[cmp_site], return_inverse=True
-        )
-        ub_rows.append(site_inverse + n_ub)
-        ub_cols.append(cmp_vars)
-        ub_base.append(sub.vnf_load[cmp_vnf])
-        ub_kind.append(np.full(cmp_vars.size, _KIND_TOTAL, dtype=np.int8))
-        ub_stage.append(var_stage[cmp_vars])
-        present_sites = site_order[uniq_sites]
-        ub_rows.append(n_ub + np.arange(len(present_sites), dtype=np.int64))
-        ub_cols.append(n_flow + present_sites)
-        ub_base.append(-np.ones(len(present_sites)))
-        ub_kind.append(np.full(len(present_sites), _KIND_CONST, dtype=np.int8))
-        ub_stage.append(np.full(len(present_sites), -1, dtype=np.int64))
-        site_rows = [
-            (n_ub + i, sub.site_names[int(s)])
-            for i, s in enumerate(present_sites)
-        ]
-        n_ub += len(present_sites)
-
-        # (VNF, site) rows sorted by (vnf name, site name); the relief
-        # coefficient -cap/site_cap is refreshed per call.
-        site_stride = max(n_sites, 1)
-        pair_key = sub.vnf_rank[cmp_vnf] * site_stride + sub.site_rank[cmp_site]
-        uniq_pairs, pair_inverse = np.unique(pair_key, return_inverse=True)
-        ub_rows.append(pair_inverse + n_ub)
-        ub_cols.append(cmp_vars)
-        ub_base.append(sub.vnf_load[cmp_vnf])
-        ub_kind.append(np.full(cmp_vars.size, _KIND_TOTAL, dtype=np.int8))
-        ub_stage.append(var_stage[cmp_vars])
-        row_vnf = vnf_order[uniq_pairs // site_stride]
-        row_site = site_order[uniq_pairs % site_stride]
-        for i, (vi, si) in enumerate(zip(row_vnf, row_site)):
-            vname = sub.vnf_names[int(vi)]
-            sname = sub.site_names[int(si)]
-            vnf_rows.append((n_ub + i, vname, sname))
-            if model.sites[sname].capacity > 0:
-                relief_rows.append(n_ub + i)
-                relief_cols.append(n_flow + int(si))
-                relief_pairs.append((vname, sname))
-        n_ub += len(uniq_pairs)
-
-    # -- budget row ------------------------------------------------------
-    budget_row = n_ub
-    ub_rows.append(np.full(n_sites, budget_row, dtype=np.int64))
-    ub_cols.append(n_flow + np.arange(n_sites, dtype=np.int64))
-    ub_base.append(np.ones(n_sites))
-    ub_kind.append(np.full(n_sites, _KIND_CONST, dtype=np.int8))
-    ub_stage.append(np.full(n_sites, -1, dtype=np.int64))
-    n_ub += 1
-
-    # -- link rows -------------------------------------------------------
-    link_rows: list[tuple[int, str]] = []
-    if sub.link_names and len(sub.pair_start):
-        ep_node = sub.endpoint_node
-        n1 = ep_node[vc.var_src_ep]
-        n2 = ep_node[vc.var_dst_ep]
-        parts_vars: list[np.ndarray] = []
-        parts_link: list[np.ndarray] = []
-        parts_frac: list[np.ndarray] = []
-        parts_kind: list[np.ndarray] = []
-        for kind, demand, a, b in (
-            (_KIND_FWD, ch.stage_fwd, n1, n2),
-            (_KIND_REV, ch.stage_rev, n2, n1),
-        ):
-            mask = demand[var_stage] > 0
-            pid = sub.pair_id[a, b]
-            sel = np.flatnonzero(mask & (pid >= 0))
-            pids = pid[sel]
-            lens = sub.pair_len[pids]
-            pool_idx, rows_of = ragged_gather(sub.pair_start[pids], lens)
-            parts_vars.append(sel[rows_of])
-            parts_link.append(sub.pool_link[pool_idx])
-            parts_frac.append(sub.pool_frac[pool_idx])
-            parts_kind.append(np.full(pool_idx.size, kind, dtype=np.int8))
-        lnk_vars = np.concatenate(parts_vars)
-        if lnk_vars.size:
-            lnk_link = np.concatenate(parts_link)
-            uniq_links, link_inverse = np.unique(
-                sub.link_rank[lnk_link], return_inverse=True
-            )
-            link_order = _inverse_permutation(sub.link_rank)
-            present = link_order[uniq_links]
-            ub_rows.append(link_inverse + n_ub)
-            ub_cols.append(lnk_vars)
-            ub_base.append(np.concatenate(parts_frac))
-            ub_kind.append(np.concatenate(parts_kind))
-            ub_stage.append(var_stage[lnk_vars])
-            link_rows = [
-                (n_ub + i, sub.link_names[int(li)])
-                for i, li in enumerate(present)
-            ]
-            n_ub += len(present)
-
-    def concat(parts: list[np.ndarray], dtype) -> np.ndarray:
-        if not parts:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(parts).astype(dtype, copy=False)
-
-    # Column-generation seeds: stage-1 flows, the cheapest few flows of
-    # every later stage, every site addition, and alpha itself.
-    counts = np.diff(vc.stage_var_start)
-    order = np.lexsort((vc.var_latency, var_stage))
-    pos_in_stage = np.arange(n_flow, dtype=np.int64) - np.repeat(
-        vc.stage_var_start[:-1], counts
-    )
-    cheap = order[pos_in_stage < 4]
-    seed_columns = np.unique(
-        np.concatenate(
-            [
-                stage1_vars,
-                cheap,
-                n_flow + np.arange(n_sites, dtype=np.int64),
-                [alpha_index],
-            ]
-        )
+    # Per-site rows first (sorted by site name), relief -1.0 on a_s.
+    n_present = len(flow.sites)
+    ub.add(flow.site_inverse, *flow.compute)
+    ub.add(np.arange(n_present), n_flow + flow.sites, -np.ones(n_present))
+    site_rows = ub.n_rows + np.arange(n_present)
+    ub.close(sub.site_capacity[flow.sites])
+    # (VNF, site) rows sorted by (vnf name, site name); the relief
+    # coefficient -cap/site_cap is refreshed per call.
+    vnf_rows = ub.n_rows + np.arange(len(flow.pair_vnf))
+    ub.add(flow.pair_inverse, *flow.compute)
+    ub.close(lp._pair_caps(sub, flow.pair_vnf, flow.pair_site))
+    # Budget row; the budget itself is refreshed per call.
+    budget_row = ub.n_rows
+    ub.add(np.zeros(n_sites), n_flow + np.arange(n_sites), np.ones(n_sites))
+    ub.close([0.0])
+    links = flow.link_entries()
+    if links is not None:
+        rows, lnk_vars, frac, kind, present = links
+        ub.add(rows, lnk_vars, frac, kind, flow.var_stage[lnk_vars])
+        ub.close(sub.headroom()[present])
+    # Relief entries go last, so each call rewrites one contiguous tail.
+    relief = sub.site_capacity[flow.pair_site] > 0
+    n_relief = int(relief.sum())
+    ub.add(
+        vnf_rows[relief] - ub.n_rows,
+        n_flow + flow.pair_site[relief],
+        np.zeros(n_relief),
     )
 
-    stage_key = [
-        (ch.chain_names[int(c)], int(z))
-        for c, z in zip(ch.stage_chain, ch.stage_z)
-    ]
-    endpoint_names = np.array(sub.endpoint_names, dtype=object)
-
-    return _CapacityStructure(
-        n_flow=n_flow,
-        n_total=n_total,
-        alpha_index=alpha_index,
-        site_names=list(sub.site_names),
-        ub_rows=concat(ub_rows, np.int64),
-        ub_cols=concat(ub_cols, np.int64),
-        ub_base=concat(ub_base, float),
-        ub_kind=concat(ub_kind, np.int8),
-        ub_stage=concat(ub_stage, np.int64),
-        n_ub=n_ub,
-        relief_rows=np.array(relief_rows, dtype=np.int64),
-        relief_cols=np.array(relief_cols, dtype=np.int64),
-        relief_pairs=relief_pairs,
-        eq_rows=concat(eq_rows, np.int64),
-        eq_cols=concat(eq_cols, np.int64),
-        eq_data=concat(eq_data, float),
-        n_eq=n_eq,
-        site_rows=site_rows,
-        vnf_rows=vnf_rows,
-        budget_row=budget_row,
-        link_rows=link_rows,
-        stage_key=stage_key,
-        var_stage=var_stage,
-        stage_chain_name=[ch.chain_names[int(c)] for c in ch.stage_chain],
-        stage_z=ch.stage_z,
-        var_src_name=endpoint_names[vc.var_src_ep],
-        var_dst_name=endpoint_names[vc.var_dst_ep],
-        seed_columns=seed_columns,
+    # Column-generation seeds also hold every site addition and alpha.
+    seeds = flow.seed_columns(n_flow + np.arange(n_sites), [alpha_index])
+    structure = _CapacityStructure(
+        flow, ub, eq, alpha_index + 1, np.full(alpha_index + 1, np.inf), seeds
     )
+    structure.alpha_index = alpha_index
+    structure.site_rows, structure.sites = site_rows, flow.sites
+    structure.vnf_rows = vnf_rows
+    structure.pair_vnf, structure.pair_site = flow.pair_vnf, flow.pair_site
+    structure.relief = relief
+    structure.relief_entries = slice(len(structure.ub_rows) - n_relief, None)
+    structure.budget_row = budget_row
+    return structure
 
 
 def _capacity_structure_for(model: NetworkModel) -> _CapacityStructure:
-    global _CAPACITY_REBUILDS, _CAPACITY_REUSE_HITS
-    key = model.capacity_structure_digest()
-    structure = _CAPACITY_CACHE.get(key)
-    if structure is not None:
-        _CAPACITY_CACHE.move_to_end(key)
-        _CAPACITY_REUSE_HITS += 1
-        return structure
-    structure = _build_capacity_structure(model)
-    _CAPACITY_REBUILDS += 1
-    _CAPACITY_CACHE[key] = structure
-    while len(_CAPACITY_CACHE) > _CAPACITY_CACHE_LIMIT:
-        _CAPACITY_CACHE.popitem(last=False)
-    return structure
+    return _CAPACITY_CACHE.get(
+        model.capacity_structure_digest(),
+        lambda: _build_capacity_structure(model),
+    )
 
 
 def plan_cloud_capacity(
@@ -453,84 +206,28 @@ def plan_cloud_capacity(
         raise CapacityPlanningError("model has no chains")
 
     structure = _capacity_structure_for(model)
-    rows, cols, data, b_ub = structure.refreshed_ub(model, budget)
-    n = structure.n_total
-    cost = np.zeros(n)
+    cost = np.zeros(structure.n_total)
     cost[structure.alpha_index] = -1.0  # maximize alpha
-
-    x = None
-    elapsed = 0.0
-    if highs_backend.direct_backend_available():
-        n_rows = structure.n_ub + structure.n_eq
-        all_rows = np.concatenate([rows, structure.eq_rows + structure.n_ub])
-        all_cols = np.concatenate([cols, structure.eq_cols])
-        all_data = np.concatenate([data, structure.eq_data])
-        matrix = csc_matrix((all_data, (all_rows, all_cols)), shape=(n_rows, n))
-        row_lower = np.concatenate(
-            [np.full(structure.n_ub, -np.inf), np.zeros(structure.n_eq)]
+    solved = lp._solve_structure(
+        structure, cost, *structure.refreshed_ub(model, budget)
+    )
+    if solved.x is None:
+        raise CapacityPlanningError(
+            f"cloud capacity LP failed: {solved.message}"
         )
-        row_upper = np.concatenate([b_ub, np.zeros(structure.n_eq)])
-        if structure.cg_solver is None:
-            structure.cg_solver = highs_backend.ColumnGenSolver()
-        start = time.perf_counter()
-        try:
-            x, _ = structure.cg_solver.solve(
-                cost,
-                matrix,
-                row_lower,
-                row_upper,
-                np.zeros(n),
-                np.full(n, np.inf),
-                seed_columns=structure.seed_columns,
-            )
-        except highs_backend.ColumnGenError:
-            x = None
-        elapsed = time.perf_counter() - start
-
-    if x is None:
-        a_ub = csr_matrix((data, (rows, cols)), shape=(structure.n_ub, n))
-        a_eq = csr_matrix(
-            (structure.eq_data, (structure.eq_rows, structure.eq_cols)),
-            shape=(structure.n_eq, n),
-        )
-        start = time.perf_counter()
-        result = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=np.zeros(structure.n_eq),
-            bounds=[(0.0, None)] * n,
-            method="highs",
-        )
-        elapsed = time.perf_counter() - start
-        if not result.success:
-            raise CapacityPlanningError(
-                f"cloud capacity LP failed: {result.message}"
-            )
-        x = np.asarray(result.x)
+    x = solved.x
 
     alpha = float(x[structure.alpha_index])
+    n_flow = structure.n_flow
     additional = {
-        s: float(x[structure.n_flow + i])
-        for i, s in enumerate(structure.site_names)
-        if x[structure.n_flow + i] > _EPS
+        s: float(x[n_flow + i])
+        for i, s in enumerate(model.sites)
+        if x[n_flow + i] > _EPS
     }
-
     solution = None
     if alpha > _EPS:
-        solution = RoutingSolution(model)
-        flows = x[: structure.n_flow]
-        for i in np.flatnonzero(flows / alpha > RoutingSolution.EPSILON):
-            k = int(structure.var_stage[i])
-            solution.add_flow(
-                structure.stage_chain_name[k],
-                int(structure.stage_z[k]),
-                structure.var_src_name[i],
-                structure.var_dst_name[i],
-                min(float(flows[i]) / alpha, 1.0),
-            )
-    return CloudCapacityPlan(alpha, additional, solution, elapsed)
+        solution = lp._extract_solution(model, np.minimum(x[:n_flow] / alpha, 1.0))
+    return CloudCapacityPlan(alpha, additional, solution, solved.seconds)
 
 
 @dataclass
@@ -766,11 +463,10 @@ def _max_alpha_fixed_capacity(
         CloudSite(s.name, s.node, s.capacity + additional.get(s.name, 0.0))
         for s in model.sites.values()
     ]
-    grown = model.copy_with_sites(sites)
     # Scale each VNF's per-site capacity with its site's growth, matching
     # the proportional model used in plan_cloud_capacity.
     vnfs = []
-    for vnf in grown.vnfs.values():
+    for vnf in model.vnfs.values():
         caps = {}
         for site, cap in vnf.site_capacity.items():
             base = model.sites[site].capacity
@@ -778,7 +474,9 @@ def _max_alpha_fixed_capacity(
             factor = (base + extra) / base if base > 0 else 1.0
             caps[site] = cap * factor
         vnfs.append(VNF(vnf.name, vnf.load_per_unit, caps))
-    grown = grown.copy_with_vnfs(vnfs)
+    grown = model.copy_rescaled(
+        sites, vnfs, model.links.values(), model.chains.values()
+    )
     plan = plan_cloud_capacity(grown, budget=0.0)
     return plan.alpha, plan.solution
 
@@ -845,15 +543,9 @@ def plan_vnf_placement(
         )
     extended = model.copy_with_vnfs(extended_vnfs)
 
-    var_index: dict[tuple[str, int, str, str], int] = {}
-    vars_list: list[tuple[str, int, str, str]] = []
-    for cname, chain in extended.chains.items():
-        for z in range(1, chain.num_stages + 1):
-            for src in extended.stage_sources(chain, z):
-                for dst in extended.stage_destinations(chain, z):
-                    var_index[(cname, z, src, dst)] = len(vars_list)
-                    vars_list.append((cname, z, src, dst))
-    n_flow = len(vars_list)
+    space = lp._VariableSpace(extended)
+    var_index, vars_list = space.index, space.vars
+    n_flow = len(space)
 
     w_index: dict[tuple[str, str], int] = {}
     for vnf_name, sites in candidate_sites.items():

@@ -17,17 +17,15 @@ hides:
 Column generation is only used for programs that are feasible with all
 flow variables at zero (``MAX_THROUGHPUT`` chain routing and the
 capacity-planning alpha maximization); equality-covered objectives go
-through ``linprog`` unchanged.
+through ``linprog`` unchanged.  The one caller,
+``repro.core.lp._solve_structure``, makes that choice for both.
 
-The private-module import is feature-detected: when unavailable, every
-caller falls back to the scipy ``linprog`` path, which remains the
-reference implementation.  Setting ``REPRO_LP_BACKEND=linprog`` forces
-the fallback (used by the equivalence tests to compare both backends).
+The private-module import is feature-detected (``AVAILABLE``): when
+unavailable, the caller uses the scipy ``linprog`` path, which remains
+the reference implementation.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -35,17 +33,11 @@ from scipy.sparse import csc_matrix
 try:  # pragma: no cover - exercised implicitly by every import
     from scipy.optimize._highspy import _core as _hc
 
-    _HIGHS_IMPORTED = True
+    #: True when the direct HiGHS backend can be used.
+    AVAILABLE = True
 except Exception:  # pragma: no cover - older/newer scipy layouts
     _hc = None
-    _HIGHS_IMPORTED = False
-
-
-def direct_backend_available() -> bool:
-    """True when the direct HiGHS backend can (and should) be used."""
-    if os.environ.get("REPRO_LP_BACKEND", "").lower() == "linprog":
-        return False
-    return _HIGHS_IMPORTED
+    AVAILABLE = False
 
 
 class ColumnGenError(Exception):
@@ -79,7 +71,7 @@ class ColumnGenSolver:
     MAX_ROUNDS = 60
 
     def __init__(self) -> None:
-        if not _HIGHS_IMPORTED:  # pragma: no cover - guarded by callers
+        if not AVAILABLE:  # pragma: no cover - guarded by callers
             raise ColumnGenError("direct HiGHS backend unavailable")
         self._highs = _new_highs()
         self._active: np.ndarray | None = None  # sorted active column ids
@@ -243,7 +235,7 @@ class ColumnGenSolver:
 
 
 __all__ = [
+    "AVAILABLE",
     "ColumnGenError",
     "ColumnGenSolver",
-    "direct_backend_available",
 ]

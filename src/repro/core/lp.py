@@ -27,10 +27,13 @@ independent coefficients, RHS, variable order) is cached keyed on
 :meth:`NetworkModel.structure_digest`.  A re-solve after a demand change
 -- a ``reoptimize()`` round, the solver farm's incremental ``resolve``
 -- only refreshes the demand-scaled entries of the data vector with a
-few vectorized multiplies.  ``MAX_THROUGHPUT`` programs (feasible at
-zero flow) are solved through warm-started column generation
-(:mod:`repro.core.highs`); the other objectives go through
-``scipy.optimize.linprog`` on the cached matrix.
+few vectorized multiplies.  Programs feasible at zero flow
+(``MAX_THROUGHPUT``) are solved through warm-started column generation
+(:mod:`repro.core.highs`); the other objectives, and any column-
+generation failure, go through ``scipy.optimize.linprog`` on the cached
+matrix.  The cloud-capacity LP (:mod:`repro.core.capacity`) is built
+from the same row blocks, cached in the same LRU type and solved by the
+same function.
 
 ``solve_chain_routing_lp_reference`` keeps the original scalar assembly
 and ``linprog`` solve as the ground truth the vectorized path is
@@ -42,7 +45,7 @@ from __future__ import annotations
 import enum
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -114,6 +117,13 @@ class _VariableSpace:
 # ---------------------------------------------------------------------------
 # Columnar assembly with structure caching
 # ---------------------------------------------------------------------------
+#
+# SB-LP and the cloud-capacity LP (repro.core.capacity) are one program
+# over the same x_{c z n1 n2} flow variables: the capacity LP only adds
+# columns (a_s, alpha) and rows (budget) and orders its rows
+# differently.  Both assemble from _FlowRows blocks into a
+# _MatrixStructure, cache it in a _StructureCache, and solve through
+# _solve_structure.
 
 # Data-entry kinds: how a cached base coefficient scales with the current
 # demands.  KIND_CONST entries never change on a cache hit.
@@ -123,41 +133,242 @@ _KIND_FWD = 2  # base * w_cz
 _KIND_REV = 3  # base * v_cz
 
 
-@dataclass
+def _inverse_permutation(rank: np.ndarray) -> np.ndarray:
+    out = np.empty(len(rank), dtype=np.int64)
+    out[rank] = np.arange(len(rank), dtype=np.int64)
+    return out
+
+
+def _pair_caps(sub, vnfs: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Capacities of the (VNF index, site index) pairs."""
+    caps = np.array(
+        [sub.vnf_site_cap.get((int(v), int(s)), np.nan) for v, s in zip(vnfs, sites)]
+    )
+    if np.isnan(caps).any():
+        bad = int(np.argmax(np.isnan(caps)))
+        raise LpError(
+            "internal: VNF "
+            f"{sub.vnf_names[int(vnfs[bad])]!r} routed at "
+            f"non-deployment site {sub.site_names[int(sites[bad])]!r}"
+        )
+    return caps
+
+
+class _Coo:
+    """A sparse row block list in COO form, assembled in row order.
+
+    :meth:`add` appends entries whose row indices are relative to the
+    block being built; :meth:`close` ends that block with one RHS value
+    per row.  Entry order is append order, and the builders append in
+    the scalar oracles' order, so the arrays match them exactly.
+    """
+
+    #: rows, cols, base, kind, stage; then the RHS of each row.
+    _DTYPES = (np.int64, np.int64, float, np.int8, np.int64, float)
+
+    def __init__(self) -> None:
+        self.n_rows = 0
+        self._parts: tuple[list, ...] = tuple([] for _ in self._DTYPES)
+
+    def add(self, rows, cols, base, kind=_KIND_CONST, stage=None) -> None:
+        n = len(cols)
+        if np.isscalar(kind):
+            kind = np.full(n, kind, dtype=np.int8)
+        if stage is None:
+            stage = np.full(n, -1, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64) + self.n_rows
+        for part, values, dtype in zip(
+            self._parts, (rows, cols, base, kind, stage), self._DTYPES
+        ):
+            part.append(np.asarray(values, dtype=dtype))
+
+    def close(self, bounds) -> None:
+        bounds = np.asarray(bounds, dtype=float)
+        self._parts[-1].append(bounds)
+        self.n_rows += len(bounds)
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``(rows, cols, base, kind, stage, rhs)`` as flat arrays."""
+        return tuple(
+            np.concatenate(part) if part else np.zeros(0, dtype=dtype)
+            for part, dtype in zip(self._parts, self._DTYPES)
+        )
+
+
+class _FlowRows:
+    """The row blocks every flow-variable program shares, in columnar form.
+
+    Row indices are local to each block: coverage by chain (dict
+    order), conservation by (stage, site), compute by (VNF, site) pair
+    sorted by name or by site sorted by name, links by link name.  The
+    builders place the blocks in their own row order.
+    """
+
+    def __init__(self, model: NetworkModel):
+        sub = self.sub = model.substrate_columns()
+        ch = self.ch = model.chain_columns()
+        vc = self.vc = model.variable_columns()
+        self.n_flow = vc.n_vars
+        var_stage = self.var_stage = vc.var_stage
+        var_dst_vnf = ch.stage_dst_vnf[var_stage]
+        var_src_vnf = ch.stage_src_vnf[var_stage]
+
+        # -- demand coverage on stage-1 flows ----------------------------
+        self.stage1_vars = np.flatnonzero(ch.stage_z[var_stage] == 1)
+        self.cover_rows = ch.stage_chain[var_stage][self.stage1_vars]
+
+        # -- flow conservation (Equation 5) ------------------------------
+        stage_has_cons = ch.stage_dst_vnf >= 0  # z < num_stages
+        cons_per_stage = np.where(stage_has_cons, ch.dst_len, 0)
+        cons_start = np.cumsum(cons_per_stage) - cons_per_stage
+        self.n_cons = int(cons_per_stage.sum())
+        incoming = np.flatnonzero(var_dst_vnf >= 0)
+        outgoing = np.flatnonzero(var_src_vnf >= 0)
+        self.cons_rows = np.concatenate(
+            [
+                cons_start[var_stage[incoming]] + vc.var_dst_pos[incoming],
+                cons_start[var_stage[outgoing] - 1] + vc.var_src_pos[outgoing],
+            ]
+        )
+        self.cons_data = np.concatenate(
+            [np.ones(incoming.size), -np.ones(outgoing.size)]
+        )
+
+        # -- compute constraints (Equation 4) ----------------------------
+        # One entry per (flow, VNF endpoint): the same columns as the
+        # conservation entries.
+        self.cmp_vars = np.concatenate([incoming, outgoing])
+        cmp_vnf = np.concatenate([var_dst_vnf[incoming], var_src_vnf[outgoing]])
+        cmp_site = (
+            np.concatenate([vc.var_dst_ep[incoming], vc.var_src_ep[outgoing]])
+            - sub.n_nodes
+        )
+        if (cmp_site < 0).any():
+            raise LpError("internal: VNF stage endpoint is not a site")
+        #: (cols, base, kind, stage) of the compute entries; their rows
+        #: are ``pair_inverse`` or ``site_inverse``.
+        self.compute = (
+            self.cmp_vars,
+            sub.vnf_load[cmp_vnf],
+            _KIND_TOTAL,
+            var_stage[self.cmp_vars],
+        )
+        site_stride = max(len(sub.site_names), 1)
+        pair_key = sub.vnf_rank[cmp_vnf] * site_stride + sub.site_rank[cmp_site]
+        uniq_pairs, self.pair_inverse = np.unique(pair_key, return_inverse=True)
+        site_order = _inverse_permutation(sub.site_rank)
+        self.pair_vnf = _inverse_permutation(sub.vnf_rank)[uniq_pairs // site_stride]
+        self.pair_site = site_order[uniq_pairs % site_stride]
+        # Per-site totals over the same entries.
+        uniq_sites, self.site_inverse = np.unique(
+            sub.site_rank[cmp_site], return_inverse=True
+        )
+        self.sites = site_order[uniq_sites]
+
+    def link_entries(self):
+        """The network-cost (Equation 6) entries, or None without links.
+
+        Returns ``(rows, vars, frac, kind, links)``: one entry per
+        (flow, direction, link on its path) with demand in that
+        direction, rows numbering the crossed links in name order, and
+        ``links`` the link index of each row.
+        """
+        sub, ch, vc = self.sub, self.ch, self.vc
+        if not (sub.link_names and len(sub.pair_start)):
+            return None
+        ep_node = sub.endpoint_node
+        n1 = ep_node[vc.var_src_ep]
+        n2 = ep_node[vc.var_dst_ep]
+        entries = []
+        for kind, demand, a, b in (
+            (_KIND_FWD, ch.stage_fwd, n1, n2),
+            (_KIND_REV, ch.stage_rev, n2, n1),
+        ):
+            mask = demand[self.var_stage] > 0
+            pid = sub.pair_id[a, b]
+            sel = np.flatnonzero(mask & (pid >= 0))
+            pids = pid[sel]
+            pool_idx, rows_of = ragged_gather(sub.pair_start[pids], sub.pair_len[pids])
+            entries.append(
+                (
+                    sel[rows_of],
+                    sub.pool_link[pool_idx],
+                    sub.pool_frac[pool_idx],
+                    np.full(pool_idx.size, kind, dtype=np.int8),
+                )
+            )
+        lnk_vars, lnk_link, lnk_frac, lnk_kind = (
+            np.concatenate(part) for part in zip(*entries)
+        )
+        uniq_links, link_inverse = np.unique(
+            sub.link_rank[lnk_link], return_inverse=True
+        )
+        links = _inverse_permutation(sub.link_rank)[uniq_links]
+        return link_inverse, lnk_vars, lnk_frac, lnk_kind, links
+
+    def seed_columns(self, *extra) -> np.ndarray:
+        """Column-generation seeds: every stage-1 variable, the few
+        lowest-latency variables of every other stage, and ``extra``."""
+        vc = self.vc
+        counts = np.diff(vc.stage_var_start)
+        order = np.lexsort((vc.var_latency, self.var_stage))
+        pos_in_stage = np.arange(self.n_flow, dtype=np.int64) - np.repeat(
+            vc.stage_var_start[:-1], counts
+        )
+        cheap = order[pos_in_stage < 4]
+        return np.unique(np.concatenate([self.stage1_vars, cheap, *extra]))
+
+
 class _MatrixStructure:
-    """Everything about the LP that survives demand changes."""
+    """Everything about a flow-variable program that survives demand changes.
 
-    n_flow: int
-    n_total: int
-    beta_index: int | None
-    # UB block (COO); entries scale with demand by kind.
-    ub_rows: np.ndarray
-    ub_cols: np.ndarray
-    ub_base: np.ndarray
-    ub_kind: np.ndarray
-    ub_stage: np.ndarray
-    b_ub: np.ndarray
-    # EQ block: all entries demand-independent.
-    eq_rows: np.ndarray
-    eq_cols: np.ndarray
-    eq_data: np.ndarray
-    b_eq: np.ndarray
-    # Per-variable structure for cost/extraction.
-    var_stage: np.ndarray
-    var_latency: np.ndarray
-    stage1_vars: np.ndarray
-    seed_columns: np.ndarray
-    # Pre-split refresh index arrays (by kind).
-    idx_total: np.ndarray = field(default=None)  # type: ignore[assignment]
-    idx_fwd: np.ndarray = field(default=None)  # type: ignore[assignment]
-    idx_rev: np.ndarray = field(default=None)  # type: ignore[assignment]
-    # Warm-startable solver retained across solves of this structure.
-    cg_solver: object | None = None
+    UB entries scale with the current demands by kind (see
+    :meth:`refreshed_ub_data`); the EQ block is demand-independent.
+    Column bounds are ``[0, col_upper]``.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        flow: _FlowRows,
+        ub: _Coo,
+        eq: _Coo,
+        n_total: int,
+        col_upper: np.ndarray,
+        seed_columns: np.ndarray,
+        beta_index: int | None = None,
+    ):
+        self.n_flow = flow.n_flow
+        self.n_total = n_total
+        self.beta_index = beta_index
+        (
+            self.ub_rows,
+            self.ub_cols,
+            self.ub_base,
+            self.ub_kind,
+            self.ub_stage,
+            self.b_ub,
+        ) = ub.arrays()
+        self.eq_rows, self.eq_cols, self.eq_data, _, _, self.b_eq = eq.arrays()
+        self.col_upper = col_upper
+        self.seed_columns = seed_columns
+        # Per-variable structure for cost/extraction.
+        self.var_stage = flow.var_stage
+        self.var_latency = flow.vc.var_latency
+        self.stage1_vars = flow.stage1_vars
+        # Pre-split refresh index arrays (by kind).
         self.idx_total = np.flatnonzero(self.ub_kind == _KIND_TOTAL)
         self.idx_fwd = np.flatnonzero(self.ub_kind == _KIND_FWD)
         self.idx_rev = np.flatnonzero(self.ub_kind == _KIND_REV)
+        # Warm-startable solver retained across solves of this structure.
+        self.cg_solver: highs_backend.ColumnGenSolver | None = None
+
+    @property
+    def n_ub(self) -> int:
+        return len(self.b_ub)
+
+    @property
+    def n_eq(self) -> int:
+        return len(self.b_eq)
 
     def refreshed_ub_data(self, ch) -> np.ndarray:
         """UB data vector under the chain columns' current demands."""
@@ -171,33 +382,150 @@ class _MatrixStructure:
         return data
 
 
-_MATRIX_CACHE: "OrderedDict[tuple, _MatrixStructure]" = OrderedDict()
-_MATRIX_CACHE_LIMIT = 32
-_MATRIX_REBUILDS = 0
-_MATRIX_REUSE_HITS = 0
+class _StructureCache:
+    """LRU of assembled structures keyed on a model structure digest."""
+
+    def __init__(self, limit: int, metric_prefix: str):
+        self.limit = limit
+        self.metric_prefix = metric_prefix
+        self.entries: OrderedDict = OrderedDict()
+        self.rebuilds = 0
+        self.reuse_hits = 0
+
+    def get(self, key, build, metrics: "MetricsRegistry | None" = None):
+        """The cached structure for ``key``, or ``build()``'s, cached."""
+        structure = self.entries.get(key)
+        if structure is not None:
+            self.entries.move_to_end(key)
+            self.reuse_hits += 1
+            if metrics is not None:
+                metrics.counter(f"{self.metric_prefix}.matrix_reuse_hits").inc()
+            return structure
+        structure = self.entries[key] = build()
+        self.rebuilds += 1
+        if metrics is not None:
+            metrics.counter(f"{self.metric_prefix}.matrix_rebuilds").inc()
+        while len(self.entries) > self.limit:
+            self.entries.popitem(last=False)
+        return structure
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "matrix_reuse_hits": self.reuse_hits,
+            "matrix_rebuilds": self.rebuilds,
+            "cached_structures": len(self.entries),
+        }
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.rebuilds = 0
+        self.reuse_hits = 0
+
+
+_MATRIX_CACHE = _StructureCache(32, "lp")
 
 
 def matrix_cache_stats() -> dict[str, int]:
     """Warm-start observability: cache hit/rebuild counters."""
-    return {
-        "matrix_reuse_hits": _MATRIX_REUSE_HITS,
-        "matrix_rebuilds": _MATRIX_REBUILDS,
-        "cached_structures": len(_MATRIX_CACHE),
-    }
+    return _MATRIX_CACHE.stats()
 
 
 def clear_matrix_cache() -> None:
     """Drop all cached constraint-matrix structures (tests)."""
-    global _MATRIX_REBUILDS, _MATRIX_REUSE_HITS
     _MATRIX_CACHE.clear()
-    _MATRIX_REBUILDS = 0
-    _MATRIX_REUSE_HITS = 0
 
 
-def _inverse_permutation(rank: np.ndarray) -> np.ndarray:
-    out = np.empty(len(rank), dtype=np.int64)
-    out[rank] = np.arange(len(rank), dtype=np.int64)
-    return out
+@dataclass
+class _Solved:
+    """Outcome of :func:`_solve_structure`."""
+
+    x: np.ndarray | None
+    fun: float | None
+    status: str
+    message: str
+    seconds: float
+
+
+def _solve_structure(
+    structure: _MatrixStructure,
+    cost: np.ndarray,
+    ub_rows: np.ndarray,
+    ub_cols: np.ndarray,
+    ub_data: np.ndarray,
+    b_ub: np.ndarray,
+) -> _Solved:
+    """Solve ``min cost @ x`` over the structure's rows with this call's
+    UB entries and bounds.
+
+    Programs feasible at x = 0 (every ``b_eq`` = 0 and every ``b_ub`` >=
+    0: ``MAX_THROUGHPUT`` routing and the capacity alpha program) go
+    through the warm column-generation solver held on the structure;
+    the rest, and any column-generation failure, through ``linprog``.
+    """
+    n_total = structure.n_total
+    n_ub, n_eq = len(b_ub), structure.n_eq
+    if (
+        highs_backend.AVAILABLE
+        and not structure.b_eq.any()
+        and (b_ub >= 0).all()
+    ):
+        matrix = csc_matrix(
+            (
+                np.concatenate([ub_data, structure.eq_data]),
+                (
+                    np.concatenate([ub_rows, structure.eq_rows + n_ub]),
+                    np.concatenate([ub_cols, structure.eq_cols]),
+                ),
+            ),
+            shape=(n_ub + n_eq, n_total),
+        )
+        row_lower = np.concatenate([np.full(n_ub, -np.inf), structure.b_eq])
+        row_upper = np.concatenate([b_ub, structure.b_eq])
+        if structure.cg_solver is None:
+            structure.cg_solver = highs_backend.ColumnGenSolver()
+        start = time.perf_counter()
+        try:
+            x, fun = structure.cg_solver.solve(
+                cost,
+                matrix,
+                row_lower,
+                row_upper,
+                np.zeros(n_total),
+                structure.col_upper,
+                seed_columns=structure.seed_columns,
+            )
+            return _Solved(x, fun, "optimal", "", time.perf_counter() - start)
+        except highs_backend.ColumnGenError:
+            pass  # fall through to linprog
+
+    a_ub = (
+        csr_matrix((ub_data, (ub_rows, ub_cols)), shape=(n_ub, n_total))
+        if n_ub
+        else None
+    )
+    a_eq = (
+        csr_matrix(
+            (structure.eq_data, (structure.eq_rows, structure.eq_cols)),
+            shape=(n_eq, n_total),
+        )
+        if n_eq
+        else None
+    )
+    start = time.perf_counter()
+    result = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=b_ub if n_ub else None,
+        A_eq=a_eq,
+        b_eq=structure.b_eq if n_eq else None,
+        bounds=np.column_stack([np.zeros(n_total), structure.col_upper]),
+        method="highs",
+    )
+    elapsed = time.perf_counter() - start
+    if not result.success:
+        status = "infeasible" if result.status == 2 else f"failed({result.status})"
+        return _Solved(None, None, status, result.message, elapsed)
+    return _Solved(np.asarray(result.x), float(result.fun), "optimal", "", elapsed)
 
 
 def _build_structure(
@@ -211,254 +539,57 @@ def _build_structure(
     continues with (VNF, site) rows sorted by name, per-site rows sorted
     by name, and link rows sorted by link name.
     """
-    sub = model.substrate_columns()
-    ch = model.chain_columns()
-    vc = model.variable_columns()
-    n = vc.n_vars
-    n_chains = len(ch.chain_names)
-    n_nodes = sub.n_nodes
-    n_sites = len(sub.site_names)
-
+    flow = _FlowRows(model)
+    sub = flow.sub
+    n = flow.n_flow
     beta_index = n if objective is LpObjective.MIN_MLU else None
     n_total = n + (1 if beta_index is not None else 0)
+    ub, eq = _Coo(), _Coo()
 
-    var_stage = vc.var_stage
-    var_chain = ch.stage_chain[var_stage]
-    var_z = ch.stage_z[var_stage]
-    var_dst_vnf = ch.stage_dst_vnf[var_stage]
-    var_src_vnf = ch.stage_src_vnf[var_stage]
-
-    ub_rows: list[np.ndarray] = []
-    ub_cols: list[np.ndarray] = []
-    ub_base: list[np.ndarray] = []
-    ub_kind: list[np.ndarray] = []
-    ub_stage: list[np.ndarray] = []
-    b_ub: list[np.ndarray] = []
-    eq_rows: list[np.ndarray] = []
-    eq_cols: list[np.ndarray] = []
-    eq_data: list[np.ndarray] = []
-    b_eq: list[np.ndarray] = []
-    n_ub = 0
-    n_eq = 0
-
-    def add_ub_block(
-        rows: np.ndarray,
-        cols: np.ndarray,
-        base: np.ndarray,
-        kind: int | np.ndarray,
-        stage: np.ndarray,
-        bounds: np.ndarray,
-    ) -> None:
-        nonlocal n_ub
-        ub_rows.append(np.asarray(rows, dtype=np.int64) + n_ub)
-        ub_cols.append(np.asarray(cols, dtype=np.int64))
-        ub_base.append(np.asarray(base, dtype=float))
-        if np.isscalar(kind):
-            ub_kind.append(np.full(len(rows), kind, dtype=np.int8))
-        else:
-            ub_kind.append(np.asarray(kind, dtype=np.int8))
-        ub_stage.append(np.asarray(stage, dtype=np.int64))
-        b_ub.append(np.asarray(bounds, dtype=float))
-        n_ub += len(bounds)
-
-    # -- demand coverage on stage-1 flows --------------------------------
-    stage1_vars = np.flatnonzero(var_z == 1)
-    cover_rows = var_chain[stage1_vars]
-    cover_data = np.ones(stage1_vars.size)
-    if objective is LpObjective.MAX_THROUGHPUT:
-        add_ub_block(
-            cover_rows,
-            stage1_vars,
-            cover_data,
-            _KIND_CONST,
-            np.full(stage1_vars.size, -1, dtype=np.int64),
-            np.ones(n_chains),
-        )
-    else:
-        eq_rows.append(cover_rows)
-        eq_cols.append(stage1_vars)
-        eq_data.append(cover_data)
-        b_eq.append(np.ones(n_chains))
-        n_eq += n_chains
-
-    # -- flow conservation (Equation 5) ----------------------------------
-    stage_has_cons = ch.stage_dst_vnf >= 0  # z < num_stages
-    cons_per_stage = np.where(stage_has_cons, ch.dst_len, 0)
-    cons_start = n_eq + np.cumsum(cons_per_stage) - cons_per_stage
-    n_cons = int(cons_per_stage.sum())
-    incoming = np.flatnonzero(var_dst_vnf >= 0)
-    outgoing = np.flatnonzero(var_src_vnf >= 0)
-    eq_rows.append(cons_start[var_stage[incoming]] + vc.var_dst_pos[incoming])
-    eq_cols.append(incoming)
-    eq_data.append(np.ones(incoming.size))
-    eq_rows.append(cons_start[var_stage[outgoing] - 1] + vc.var_src_pos[outgoing])
-    eq_cols.append(outgoing)
-    eq_data.append(-np.ones(outgoing.size))
-    b_eq.append(np.zeros(n_cons))
-    n_eq += n_cons
-
-    # -- compute constraints (Equation 4) --------------------------------
-    cmp_vars = np.concatenate([incoming, outgoing])
-    cmp_vnf = np.concatenate([var_dst_vnf[incoming], var_src_vnf[outgoing]])
-    cmp_site = (
-        np.concatenate([vc.var_dst_ep[incoming], vc.var_src_ep[outgoing]])
-        - n_nodes
-    )
-    if cmp_vars.size and (cmp_site < 0).any():
-        raise LpError("internal: VNF stage endpoint is not a site")
-    if cmp_vars.size:
-        site_stride = max(n_sites, 1)
-        pair_key = sub.vnf_rank[cmp_vnf] * site_stride + sub.site_rank[cmp_site]
-        uniq_pairs, pair_inverse = np.unique(pair_key, return_inverse=True)
-        vnf_order = _inverse_permutation(sub.vnf_rank)
-        site_order = _inverse_permutation(sub.site_rank)
-        row_vnf = vnf_order[uniq_pairs // site_stride]
-        row_site = site_order[uniq_pairs % site_stride]
-        caps = np.array(
-            [
-                sub.vnf_site_cap.get((int(v), int(s)), np.nan)
-                for v, s in zip(row_vnf, row_site)
-            ]
-        )
-        if np.isnan(caps).any():
-            bad = int(np.argmax(np.isnan(caps)))
-            raise LpError(
-                "internal: VNF "
-                f"{sub.vnf_names[int(row_vnf[bad])]!r} routed at "
-                f"non-deployment site {sub.site_names[int(row_site[bad])]!r}"
-            )
-        add_ub_block(
-            pair_inverse,
-            cmp_vars,
-            sub.vnf_load[cmp_vnf],
-            _KIND_TOTAL,
-            var_stage[cmp_vars],
-            caps,
-        )
-
-        # Per-site totals over the same entries.
-        uniq_sites, site_inverse = np.unique(
-            sub.site_rank[cmp_site], return_inverse=True
-        )
-        add_ub_block(
-            site_inverse,
-            cmp_vars,
-            sub.vnf_load[cmp_vnf],
-            _KIND_TOTAL,
-            var_stage[cmp_vars],
-            sub.site_capacity[site_order[uniq_sites]],
-        )
+    # Coverage is an equality unless partial routing is allowed.
+    cover = ub if objective is LpObjective.MAX_THROUGHPUT else eq
+    cover.add(flow.cover_rows, flow.stage1_vars, np.ones(flow.stage1_vars.size))
+    cover.close(np.ones(len(flow.ch.chain_names)))
+    eq.add(flow.cons_rows, flow.cmp_vars, flow.cons_data)
+    eq.close(np.zeros(flow.n_cons))
+    ub.add(flow.pair_inverse, *flow.compute)
+    ub.close(_pair_caps(sub, flow.pair_vnf, flow.pair_site))
+    ub.add(flow.site_inverse, *flow.compute)
+    ub.close(sub.site_capacity[flow.sites])
 
     # -- network cost (Equations 6-7) ------------------------------------
-    if (enforce_mlu or beta_index is not None) and sub.link_names and len(
-        sub.pair_start
-    ):
-        ep_node = sub.endpoint_node
-        n1 = ep_node[vc.var_src_ep]
-        n2 = ep_node[vc.var_dst_ep]
-        parts_vars: list[np.ndarray] = []
-        parts_link: list[np.ndarray] = []
-        parts_frac: list[np.ndarray] = []
-        parts_kind: list[np.ndarray] = []
-        for kind, demand, a, b in (
-            (_KIND_FWD, ch.stage_fwd, n1, n2),
-            (_KIND_REV, ch.stage_rev, n2, n1),
-        ):
-            mask = demand[var_stage] > 0
-            pid = sub.pair_id[a, b]
-            sel = np.flatnonzero(mask & (pid >= 0))
-            pids = pid[sel]
-            lens = sub.pair_len[pids]
-            pool_idx, rows_of = ragged_gather(sub.pair_start[pids], lens)
-            parts_vars.append(sel[rows_of])
-            parts_link.append(sub.pool_link[pool_idx])
-            parts_frac.append(sub.pool_frac[pool_idx])
-            parts_kind.append(np.full(pool_idx.size, kind, dtype=np.int8))
-        lnk_vars = np.concatenate(parts_vars)
-        lnk_link = np.concatenate(parts_link)
-        lnk_frac = np.concatenate(parts_frac)
-        lnk_kind = np.concatenate(parts_kind)
-        if lnk_vars.size:
-            uniq_links, link_inverse = np.unique(
-                sub.link_rank[lnk_link], return_inverse=True
-            )
-            link_order = _inverse_permutation(sub.link_rank)
-            present = link_order[uniq_links]
-            if beta_index is not None:
-                bounds = -sub.link_background[present]
-            else:
-                bounds = sub.headroom()[present]
-            base_row = n_ub
-            add_ub_block(
-                link_inverse,
-                lnk_vars,
-                lnk_frac,
-                lnk_kind,
-                var_stage[lnk_vars],
-                bounds,
-            )
-            if beta_index is not None:
-                # beta coefficient on every present-link row.
-                ub_rows.append(base_row + np.arange(len(present), dtype=np.int64))
-                ub_cols.append(np.full(len(present), beta_index, dtype=np.int64))
-                ub_base.append(-sub.link_bandwidth[present])
-                ub_kind.append(np.full(len(present), _KIND_CONST, dtype=np.int8))
-                ub_stage.append(np.full(len(present), -1, dtype=np.int64))
+    links = (
+        flow.link_entries() if enforce_mlu or beta_index is not None else None
+    )
+    if links is not None:
+        rows, lnk_vars, frac, kind, present = links
+        ub.add(rows, lnk_vars, frac, kind, flow.var_stage[lnk_vars])
+        if beta_index is None:
+            ub.close(sub.headroom()[present])
         else:
-            present = np.zeros(0, dtype=np.int64)
-        if beta_index is not None:
+            # beta coefficient on every present-link row.
+            n_present = len(present)
+            ub.add(
+                np.arange(n_present),
+                np.full(n_present, beta_index),
+                -sub.link_bandwidth[present],
+            )
+            ub.close(-sub.link_background[present])
             # Links Switchboard never touches still bound beta from below
             # (model dict order, matching the scalar reference).
-            present_set = set(int(p) for p in present)
-            absent = [
-                li
-                for li in range(len(sub.link_names))
-                if li not in present_set and sub.link_background[li] > 0
-            ]
-            if absent:
-                absent_arr = np.array(absent, dtype=np.int64)
-                add_ub_block(
-                    np.arange(len(absent), dtype=np.int64),
-                    np.full(len(absent), beta_index, dtype=np.int64),
-                    -sub.link_bandwidth[absent_arr],
-                    _KIND_CONST,
-                    np.full(len(absent), -1, dtype=np.int64),
-                    -sub.link_background[absent_arr],
-                )
+            absent = np.setdiff1d(np.flatnonzero(sub.link_background > 0), present)
+            ub.add(
+                np.arange(len(absent)),
+                np.full(len(absent), beta_index),
+                -sub.link_bandwidth[absent],
+            )
+            ub.close(-sub.link_background[absent])
 
-    def concat(parts: list[np.ndarray], dtype) -> np.ndarray:
-        if not parts:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(parts).astype(dtype, copy=False)
-
-    # Seed columns for column generation: every stage-1 variable plus the
-    # few lowest-latency variables of every other stage.
-    counts = np.diff(vc.stage_var_start)
-    order = np.lexsort((vc.var_latency, var_stage))
-    pos_in_stage = np.arange(n, dtype=np.int64) - np.repeat(
-        vc.stage_var_start[:-1], counts
-    )
-    cheap = order[pos_in_stage < 4]
-    seed_columns = np.unique(np.concatenate([stage1_vars, cheap]))
-
+    col_upper = np.ones(n_total)
+    if beta_index is not None:
+        col_upper[beta_index] = np.inf
     return _MatrixStructure(
-        n_flow=n,
-        n_total=n_total,
-        beta_index=beta_index,
-        ub_rows=concat(ub_rows, np.int64),
-        ub_cols=concat(ub_cols, np.int64),
-        ub_base=concat(ub_base, float),
-        ub_kind=concat(ub_kind, np.int8),
-        ub_stage=concat(ub_stage, np.int64),
-        b_ub=concat(b_ub, float),
-        eq_rows=concat(eq_rows, np.int64),
-        eq_cols=concat(eq_cols, np.int64),
-        eq_data=concat(eq_data, float),
-        b_eq=concat(b_eq, float),
-        var_stage=var_stage,
-        var_latency=vc.var_latency,
-        stage1_vars=stage1_vars,
-        seed_columns=seed_columns,
+        flow, ub, eq, n_total, col_upper, flow.seed_columns(), beta_index
     )
 
 
@@ -468,23 +599,10 @@ def _structure_for(
     enforce_mlu: bool,
     metrics: "MetricsRegistry | None",
 ) -> _MatrixStructure:
-    global _MATRIX_REBUILDS, _MATRIX_REUSE_HITS
     key = (model.structure_digest(), objective.value, bool(enforce_mlu))
-    structure = _MATRIX_CACHE.get(key)
-    if structure is not None:
-        _MATRIX_CACHE.move_to_end(key)
-        _MATRIX_REUSE_HITS += 1
-        if metrics is not None:
-            metrics.counter("lp.matrix_reuse_hits").inc()
-        return structure
-    structure = _build_structure(model, objective, enforce_mlu)
-    _MATRIX_REBUILDS += 1
-    if metrics is not None:
-        metrics.counter("lp.matrix_rebuilds").inc()
-    _MATRIX_CACHE[key] = structure
-    while len(_MATRIX_CACHE) > _MATRIX_CACHE_LIMIT:
-        _MATRIX_CACHE.popitem(last=False)
-    return structure
+    return _MATRIX_CACHE.get(
+        key, lambda: _build_structure(model, objective, enforce_mlu), metrics
+    )
 
 
 def _cost_vector(
@@ -547,95 +665,24 @@ def solve_chain_routing_lp(
     structure = _structure_for(model, objective, enforce_mlu, metrics)
     ch = model.chain_columns()
     cost = _cost_vector(structure, ch, objective, latency_tiebreak)
-    data_ub = structure.refreshed_ub_data(ch)
-    n = structure.n_flow
+    solved = _solve_structure(
+        structure,
+        cost,
+        structure.ub_rows,
+        structure.ub_cols,
+        structure.refreshed_ub_data(ch),
+        structure.b_ub,
+    )
+    x = solved.x
     n_total = structure.n_total
-    n_constraints = len(structure.b_ub) + len(structure.b_eq)
-
-    x = None
-    objective_value = None
-    status = "optimal"
-    elapsed = 0.0
-    if (
-        objective is LpObjective.MAX_THROUGHPUT
-        and highs_backend.direct_backend_available()
-    ):
-        n_rows = len(structure.b_ub) + len(structure.b_eq)
-        rows = np.concatenate(
-            [structure.ub_rows, structure.eq_rows + len(structure.b_ub)]
-        )
-        cols = np.concatenate([structure.ub_cols, structure.eq_cols])
-        data = np.concatenate([data_ub, structure.eq_data])
-        matrix = csc_matrix((data, (rows, cols)), shape=(n_rows, n_total))
-        row_lower = np.concatenate(
-            [np.full(len(structure.b_ub), -np.inf), structure.b_eq]
-        )
-        row_upper = np.concatenate([structure.b_ub, structure.b_eq])
-        if structure.cg_solver is None:
-            structure.cg_solver = highs_backend.ColumnGenSolver()
-        start = time.perf_counter()
-        try:
-            x, objective_value = structure.cg_solver.solve(
-                cost,
-                matrix,
-                row_lower,
-                row_upper,
-                np.zeros(n_total),
-                np.ones(n_total),
-                seed_columns=structure.seed_columns,
-            )
-        except highs_backend.ColumnGenError:
-            x = None  # fall through to linprog below
-        elapsed = time.perf_counter() - start
-
-    if x is None:
-        a_ub = (
-            csr_matrix(
-                (data_ub, (structure.ub_rows, structure.ub_cols)),
-                shape=(len(structure.b_ub), n_total),
-            )
-            if len(structure.b_ub)
-            else None
-        )
-        a_eq = (
-            csr_matrix(
-                (structure.eq_data, (structure.eq_rows, structure.eq_cols)),
-                shape=(len(structure.b_eq), n_total),
-            )
-            if len(structure.b_eq)
-            else None
-        )
-        bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * n
-        if structure.beta_index is not None:
-            bounds.append((0.0, None))
-        start = time.perf_counter()
-        result = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=structure.b_ub if a_ub is not None else None,
-            A_eq=a_eq,
-            b_eq=structure.b_eq if a_eq is not None else None,
-            bounds=bounds,
-            method="highs",
-        )
-        elapsed = time.perf_counter() - start
-        if not result.success:
-            status = (
-                "infeasible" if result.status == 2 else f"failed({result.status})"
-            )
-        else:
-            x = np.asarray(result.x)
-            if structure.beta_index is not None:
-                objective_value = float(x[structure.beta_index])
-            else:
-                objective_value = float(result.fun)
+    n_constraints = structure.n_ub + structure.n_eq
 
     if metrics is not None:
         # Wall-clock solver time: here the interesting duration is how
         # long HiGHS takes on the host, not simulated seconds.
         metrics.histogram(
             "solver.lp_solve_s", objective=objective.value
-        ).observe(elapsed)
+        ).observe(solved.seconds)
         metrics.counter(
             "solver.lp_solves",
             objective=objective.value,
@@ -643,14 +690,18 @@ def solve_chain_routing_lp(
         ).inc()
 
     if x is None:
-        return LpResult(status, None, None, n_total, n_constraints, elapsed)
+        return LpResult(
+            solved.status, None, None, n_total, n_constraints, solved.seconds
+        )
 
-    if objective is LpObjective.MIN_MLU:
+    if structure.beta_index is not None:
         objective_value = float(x[structure.beta_index])
+    else:
+        objective_value = solved.fun
 
-    solution = _extract_solution(model, x[:n])
+    solution = _extract_solution(model, x[: structure.n_flow])
     return LpResult(
-        "optimal", objective_value, solution, n_total, n_constraints, elapsed
+        "optimal", objective_value, solution, n_total, n_constraints, solved.seconds
     )
 
 
